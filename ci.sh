@@ -1,6 +1,7 @@
 #!/bin/bash
-# Tier-1 gate: build, test, property tests, and the deprecated-accessor
-# allowlist. Run from anywhere; exits non-zero on the first failure.
+# Full gate: build, clippy, every crate's tests, property tests,
+# fault-injection tests, the no-deprecated-API check and the perf smokes.
+# Run from anywhere; exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")"
 
@@ -11,6 +12,8 @@ echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests =="
+# The workspace's default-members cover the root package and every crate,
+# so this runs the crate-level unit and integration tests too.
 cargo test -q
 
 echo "== property tests =="
@@ -42,27 +45,20 @@ echo "== perf smoke (stream_throughput vs committed baseline) =="
 # compared against the committed BENCH_stream.json (DESIGN.md "Hot path &
 # allocation budget"). Fails when steps/sec drops >20% below the baseline.
 if [ ! -f BENCH_stream.json ]; then
-  echo "BENCH_stream.json missing; record both modes with:" >&2
+  echo "BENCH_stream.json missing; record it with:" >&2
   echo "  cargo run --release -p ficsum-bench --features alloc-count \\" >&2
   echo "    --bin stream_throughput -- --repeat 5 --out BENCH_stream.json" >&2
-  echo "  cargo run --release -p ficsum-bench --features alloc-count \\" >&2
-  echo "    --bin stream_throughput -- --repeat 5 --incremental --emd-stride 4 \\" >&2
-  echo "    --append BENCH_stream.json" >&2
   exit 1
 fi
 cargo run --release -q -p ficsum-bench --bin stream_throughput -- \
   --repeat 3 --check BENCH_stream.json --min-ratio 0.8
-# Same gate for the incremental-statistics mode: --check matches this
-# run against the baseline line with "mode":"incremental".
-cargo run --release -q -p ficsum-bench --bin stream_throughput -- \
-  --repeat 3 --incremental --emd-stride 4 --check BENCH_stream.json --min-ratio 0.8
 
 echo "== perf smoke (extraction_throughput vs committed baseline) =="
-# Steady-state fingerprint extraction: the engine path and the
-# incremental-statistics streaming path against the committed
-# BENCH_extract.json (DESIGN.md "Incremental statistics"), failing when
-# either drops >20% below baseline. --assert-zero-alloc additionally
-# fails if the incremental steady state allocates at all (the counting
+# Steady-state fingerprint extraction: the engine path and the streaming
+# path (push one frame, extract from the ring view) against the committed
+# BENCH_extract.json (DESIGN.md "Hot path & allocation budget"), failing
+# when either drops >20% below baseline. --assert-zero-alloc additionally
+# fails if the streaming steady state allocates at all (the counting
 # allocator is compiled in via the alloc-count feature).
 if [ ! -f BENCH_extract.json ]; then
   echo "BENCH_extract.json missing; record it with:" >&2

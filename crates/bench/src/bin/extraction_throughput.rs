@@ -1,9 +1,8 @@
 //! Fingerprint extraction throughput: the pre-engine framework path
-//! (materialise the tracked window into an owned `Vec`, clone-and-relabel
-//! every observation, then run [`FingerprintExtractor::extract`]) against the
-//! reusable [`FingerprintEngine`] reading the [`TrackedWindow`] directly,
-//! on the 20-feature / 100-observation window the engine's parity tests
-//! use.
+//! (copy the window into an owned `Vec`, clone-and-relabel every
+//! observation, then run [`FingerprintExtractor::extract`]) against the
+//! reusable [`FingerprintEngine`] re-predicting the window in place, on the
+//! 20-feature / 100-observation window the engine's parity tests use.
 //!
 //! The two paths are timed in short interleaved rounds rather than one
 //! long block each: clock-frequency drift and background scheduling noise
@@ -16,13 +15,13 @@
 //! noise environment. With no clock attached (the `NullRecorder`
 //! default) the obs layer costs one branch per extraction.
 //!
-//! A fourth interleaved round compares steady-state *streaming* extraction
-//! (push one frame, fingerprint the window) through the batch engine
-//! against the incremental-statistics engine, which is the configuration
-//! the CI perf gate regresses: `--out PATH` records the baseline,
-//! `--check PATH` fails (exit 1) when either engine path drops more than
-//! 20% below it, and `--assert-zero-alloc` (requires the `alloc-count`
-//! feature) fails when the incremental steady state allocates at all.
+//! A final round times steady-state *streaming* extraction — push one frame
+//! into a ring window, then fingerprint its active view — which is the
+//! framework's per-extraction shape and what the CI perf gate regresses:
+//! `--out PATH` records the baseline, `--check PATH` fails (exit 1) when the
+//! engine or the streaming path drops more than 20% below it, and
+//! `--assert-zero-alloc` (requires the `alloc-count` feature) fails when the
+//! streaming steady state allocates at all.
 //!
 //! Usage: `extraction_throughput [--secs S] [--d D] [--window W] [--reps R]
 //! [--jsonl PATH] [--out PATH] [--check PATH] [--min-ratio F]
@@ -37,7 +36,7 @@ use ficsum_classifiers::{Classifier, HoeffdingTree};
 use ficsum_meta::{FingerprintEngine, FingerprintExtractor};
 use ficsum_obs::MonotonicClock;
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
-use ficsum_stream::{FrameWindows, LabeledObservation, TrackedWindow};
+use ficsum_stream::{FrameWindows, LabeledObservation};
 
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
@@ -116,10 +115,7 @@ fn main() {
         i += 1;
     }
 
-    let mut tracked = TrackedWindow::new(w, d);
-    for obs in synthetic_window(w, d, 42) {
-        tracked.push(obs);
-    }
+    let window = synthetic_window(w, d, 42);
     let mut rng = Xoshiro256pp::seed_from_u64(7);
     let mut tree = HoeffdingTree::new(d, 2);
     for _ in 0..2000 {
@@ -139,9 +135,8 @@ fn main() {
             .map(|o| o.observation.clone().labeled(clf.predict(o.features())))
             .collect()
     };
-    let contents: Vec<LabeledObservation> = tracked.iter().cloned().collect();
-    let legacy_fp = extractor.extract(&relabel(&contents, &tree), Some(&tree));
-    let engine_fp = engine.extract_tracked_repredicted(&tracked, &tree);
+    let legacy_fp = extractor.extract(&relabel(&window, &tree), Some(&tree));
+    let engine_fp = engine.extract_repredicted(&window, &tree);
     assert_eq!(legacy_fp, engine_fp, "engine must be bit-identical to the legacy path");
 
     println!(
@@ -155,12 +150,12 @@ fn main() {
         secs,
         w as u64,
         || {
-            let window: Vec<LabeledObservation> = tracked.iter().cloned().collect();
-            let relabeled = relabel(&window, &tree);
+            let owned: Vec<LabeledObservation> = window.to_vec();
+            let relabeled = relabel(&owned, &tree);
             std::hint::black_box(extractor.extract(&relabeled, Some(&tree)));
         },
         || {
-            std::hint::black_box(engine.extract_tracked_repredicted(&tracked, &tree));
+            std::hint::black_box(engine.extract_repredicted(&window, &tree));
         },
     );
     println!(
@@ -171,7 +166,7 @@ fn main() {
     );
     println!(
         "{:<28} {:>14.0} {:>14.3}",
-        "engine (tracked window)",
+        "engine (in place)",
         fast.units_per_sec(),
         fast.secs_per_iter() * 1e3
     );
@@ -185,10 +180,10 @@ fn main() {
         secs,
         w as u64,
         || {
-            std::hint::black_box(engine.extract_tracked_repredicted(&tracked, &tree));
+            std::hint::black_box(engine.extract_repredicted(&window, &tree));
         },
         || {
-            std::hint::black_box(timed_engine.extract_tracked_repredicted(&tracked, &tree));
+            std::hint::black_box(timed_engine.extract_repredicted(&window, &tree));
         },
     );
     println!(
@@ -206,9 +201,8 @@ fn main() {
     );
 
     // Streaming steady state: each iteration pushes one frame into a ring
-    // window and fingerprints it — the framework's per-extraction shape.
-    // Batch engine vs incremental-statistics engine (the CI-gated mode,
-    // EMD stride 4 as in the BENCH_stream incremental configuration).
+    // window and fingerprints its active view — the framework's
+    // per-extraction shape.
     let tape: Vec<LabeledObservation> = synthetic_window(w * 4, d, 9)
         .into_iter()
         .map(|o| {
@@ -216,60 +210,26 @@ fn main() {
             o.observation.labeled(p)
         })
         .collect();
-    let mut batch_fw = FrameWindows::new(w, 0, d);
-    let mut incr_fw = FrameWindows::new(w, 0, d);
-    incr_fw.enable_stats(extractor.mi_bins());
+    let mut fw = FrameWindows::new(w, 0, d);
     for o in tape.iter().take(w) {
-        batch_fw.push(o.features(), o.label(), o.prediction);
-        incr_fw.push(o.features(), o.label(), o.prediction);
+        fw.push(o.features(), o.label(), o.prediction);
     }
-    let mut incr_engine = FingerprintEngine::new(extractor.clone())
-        .with_incremental_stats(true)
-        .with_emd_stride(4);
-    let mut fp_b = Vec::new();
-    let mut fp_i = Vec::new();
-    let (mut bi, mut ii) = (0usize, 0usize);
-    let (stream_batch, stream_incr) = interleaved(
-        reps,
-        secs,
-        w as u64,
-        || {
-            let o = &tape[bi % tape.len()];
-            bi += 1;
-            batch_fw.push(o.features(), o.label(), o.prediction);
-            engine.extract_tracked_frames_repredicted_into(
-                &batch_fw.a_tracked(),
-                &tree,
-                &mut fp_b,
-            );
-            std::hint::black_box(&fp_b);
-        },
-        || {
-            let o = &tape[ii % tape.len()];
-            ii += 1;
-            incr_fw.push(o.features(), o.label(), o.prediction);
-            incr_engine.extract_tracked_frames_repredicted_into(
-                &incr_fw.a_tracked(),
-                &tree,
-                &mut fp_i,
-            );
-            std::hint::black_box(&fp_i);
-        },
-    );
+    let mut fp = Vec::new();
+    let mut next = 0usize;
+    let mut stream_step = || {
+        let o = &tape[next % tape.len()];
+        next += 1;
+        fw.push(o.features(), o.label(), o.prediction);
+        engine.extract_frames_repredicted_into(&fw.a_view(), &tree, &mut fp);
+        std::hint::black_box(&fp);
+    };
+    let stream_batch = time_throughput(secs * reps as f64, w as u64, &mut stream_step);
     println!(
         "{:<28} {:>14.0} {:>14.3}",
-        "stream (batch engine)",
+        "stream (ring view)",
         stream_batch.units_per_sec(),
         stream_batch.secs_per_iter() * 1e3
     );
-    println!(
-        "{:<28} {:>14.0} {:>14.3}",
-        "stream (incremental stats)",
-        stream_incr.units_per_sec(),
-        stream_incr.secs_per_iter() * 1e3
-    );
-    let incr_speedup = stream_incr.units_per_sec() / stream_batch.units_per_sec();
-    println!("incremental speedup: {incr_speedup:.2}x");
 
     if assert_zero_alloc {
         if !cfg!(feature = "alloc-count") {
@@ -280,35 +240,20 @@ fn main() {
             std::process::exit(1);
         }
         // Warm the scratch buffers, then demand a fully allocation-free
-        // steady state: push + incremental extraction must stay inside
-        // reused capacity even across EMD re-sift strides.
+        // steady state: push + extraction must stay inside reused capacity.
         let iters = 256usize;
         for _ in 0..64 {
-            let o = &tape[ii % tape.len()];
-            ii += 1;
-            incr_fw.push(o.features(), o.label(), o.prediction);
-            incr_engine.extract_tracked_frames_repredicted_into(
-                &incr_fw.a_tracked(),
-                &tree,
-                &mut fp_i,
-            );
+            stream_step();
         }
         let a0 = alloc_sample();
         for _ in 0..iters {
-            let o = &tape[ii % tape.len()];
-            ii += 1;
-            incr_fw.push(o.features(), o.label(), o.prediction);
-            incr_engine.extract_tracked_frames_repredicted_into(
-                &incr_fw.a_tracked(),
-                &tree,
-                &mut fp_i,
-            );
+            stream_step();
         }
         let allocs = alloc_sample() - a0;
         println!("zero-alloc assertion: {allocs} allocations over {iters} steady-state steps");
         if allocs != 0 {
             eprintln!(
-                "ALLOC REGRESSION: incremental steady-state extraction allocated \
+                "ALLOC REGRESSION: steady-state streaming extraction allocated \
                  {allocs} times over {iters} steps (expected 0)"
             );
             std::process::exit(1);
@@ -318,13 +263,10 @@ fn main() {
     let line = format!(
         "{{\"bench\":\"extraction_throughput\",\"d\":{d},\"window\":{w},\
          \"legacy_obs_per_sec\":{:.1},\"engine_obs_per_sec\":{:.1},\
-         \"stream_batch_obs_per_sec\":{:.1},\"stream_incremental_obs_per_sec\":{:.1},\
-         \"incremental_speedup\":{:.3}}}",
+         \"stream_batch_obs_per_sec\":{:.1}}}",
         legacy.units_per_sec(),
         fast.units_per_sec(),
         stream_batch.units_per_sec(),
-        stream_incr.units_per_sec(),
-        incr_speedup
     );
     if let Some(path) = &out {
         std::fs::write(path, format!("{line}\n")).unwrap_or_else(|e| panic!("--out {path}: {e}"));
@@ -336,7 +278,7 @@ fn main() {
         let mut failed = false;
         for (field, current) in [
             ("engine_obs_per_sec", fast.units_per_sec()),
-            ("stream_incremental_obs_per_sec", stream_incr.units_per_sec()),
+            ("stream_batch_obs_per_sec", stream_batch.units_per_sec()),
         ] {
             let base = json_field(&baseline, field)
                 .unwrap_or_else(|| panic!("--check {path}: no {field} field"));
@@ -364,7 +306,6 @@ fn main() {
         rep.record_throughput("engine_untimed", &plain);
         rep.record_throughput("engine_timed", &timed);
         rep.record_throughput("stream_batch", &stream_batch);
-        rep.record_throughput("stream_incremental", &stream_incr);
         rep.finish();
     }
 }

@@ -11,17 +11,11 @@
 //!
 //! ```sh
 //! stream_throughput [--dataset NAME] [--seed S] [--steps N] [--threads T]
-//!                   [--incremental] [--emd-stride K] [--repeat R]
-//!                   [--out PATH] [--append PATH] [--check PATH]
-//!                   [--min-ratio F]
+//!                   [--repeat R] [--out PATH] [--check PATH] [--min-ratio F]
 //! ```
 //!
-//! Defaults: STAGGER, seed 42, the full stream once, sequential, batch
-//! (bit-exact) extraction, no file output. `--incremental` switches the
-//! pipeline to incremental statistic substitution (with `--emd-stride`
-//! bounding IMF re-sifting); `--append` adds this run's line to an existing
-//! baseline file so one file can carry both modes. `--check` compares
-//! against the line in the baseline whose `mode` matches this run.
+//! Defaults: STAGGER, seed 42, the full stream once, sequential, no file
+//! output. `--check` compares against the first line of the baseline file.
 //! Latency per processed observation is sampled with a per-step monotonic
 //! clock read (~tens of ns against a multi-µs step).
 
@@ -42,11 +36,8 @@ struct Args {
     seed: u64,
     steps: usize,
     threads: usize,
-    incremental: bool,
-    emd_stride: u32,
     repeat: usize,
     out: Option<String>,
-    append: Option<String>,
     check: Option<String>,
     min_ratio: f64,
     stages: bool,
@@ -59,11 +50,8 @@ fn parse_args() -> Args {
         seed: 42,
         steps: usize::MAX,
         threads: 1,
-        incremental: false,
-        emd_stride: 1,
         repeat: 3,
         out: None,
-        append: None,
         check: None,
         min_ratio: 0.8,
         stages: false,
@@ -78,15 +66,8 @@ fn parse_args() -> Args {
             "--seed" => a.seed = val(i).parse().expect("--seed"),
             "--steps" => a.steps = val(i).parse().expect("--steps"),
             "--threads" => a.threads = val(i).parse().expect("--threads"),
-            "--incremental" => {
-                a.incremental = true;
-                i += 1;
-                continue;
-            }
-            "--emd-stride" => a.emd_stride = val(i).parse().expect("--emd-stride"),
             "--repeat" => a.repeat = val(i).parse().expect("--repeat"),
             "--out" => a.out = Some(val(i)),
-            "--append" => a.append = Some(val(i)),
             "--check" => a.check = Some(val(i)),
             "--min-ratio" => a.min_ratio = val(i).parse().expect("--min-ratio"),
             "--stages" => {
@@ -144,9 +125,7 @@ fn run_once(args: &Args) -> Measurement {
     let mut builder = FicsumBuilder::new(stream.dims(), stream.n_classes())
         .variant(Variant::Full)
         .config(FicsumConfig::default())
-        .parallelism(args.threads)
-        .incremental_stats(args.incremental)
-        .emd_stride(args.emd_stride);
+        .parallelism(args.threads);
     if args.stages {
         builder = builder.recorder(Box::new(ficsum_obs::InMemoryRecorder::new()));
     }
@@ -235,12 +214,9 @@ fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64) -> String {
     let drift_mean_us = mean(&m.drift_step_secs) * 1e6;
     let drift_max_us = m.drift_step_secs.iter().copied().fold(0.0f64, f64::max) * 1e6;
     let mut s = format!(
-        "{{\"bench\":\"stream_throughput\",\"mode\":\"{}\",\"emd_stride\":{},\
-         \"dataset\":\"{}\",\"seed\":{},\"steps\":{},\
+        "{{\"bench\":\"stream_throughput\",\"dataset\":\"{}\",\"seed\":{},\"steps\":{},\
          \"threads\":{},\"steps_per_sec\":{:.1},\"drifts\":{},\
          \"drift_step_us_mean\":{:.1},\"drift_step_us_max\":{:.1},\"accuracy\":{:.6}",
-        if args.incremental { "incremental" } else { "batch" },
-        args.emd_stride,
         args.dataset,
         args.seed,
         m.steps,
@@ -261,17 +237,6 @@ fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64) -> String {
     }
     s.push('}');
     s
-}
-
-/// Picks the baseline line matching this run's mode out of a (possibly
-/// multi-line) baseline file. Falls back to the first non-empty line for
-/// single-mode baselines written before the `mode` field existed.
-fn baseline_line<'a>(contents: &'a str, mode: &str) -> Option<&'a str> {
-    let key = format!("\"mode\":\"{mode}\"");
-    contents
-        .lines()
-        .find(|l| l.contains(&key))
-        .or_else(|| contents.lines().find(|l| !l.trim().is_empty()))
 }
 
 /// Pulls a numeric field out of a single-object JSON line without a JSON
@@ -326,22 +291,12 @@ fn main() {
         std::fs::write(path, format!("{line}\n")).unwrap_or_else(|e| panic!("--out {path}: {e}"));
         println!("wrote {path}");
     }
-    if let Some(path) = &args.append {
-        let mut contents = std::fs::read_to_string(path).unwrap_or_default();
-        if !contents.is_empty() && !contents.ends_with('\n') {
-            contents.push('\n');
-        }
-        contents.push_str(&line);
-        contents.push('\n');
-        std::fs::write(path, contents).unwrap_or_else(|e| panic!("--append {path}: {e}"));
-        println!("appended to {path}");
-    }
-
     if let Some(path) = &args.check {
         let contents = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("--check {path}: {e}"));
-        let mode = if args.incremental { "incremental" } else { "batch" };
-        let baseline = baseline_line(&contents, mode)
+        let baseline = contents
+            .lines()
+            .find(|l| !l.trim().is_empty())
             .unwrap_or_else(|| panic!("--check {path}: empty baseline file"));
         let base_sps = json_field(baseline, "steps_per_sec")
             .unwrap_or_else(|| panic!("--check {path}: no steps_per_sec field"));

@@ -364,40 +364,6 @@ impl Ficsum {
         self.scan_pool.clear();
     }
 
-    /// Lets the engine substitute the window's incremental moments for the
-    /// batch moment sweep (see
-    /// [`crate::variant::FicsumBuilder::incremental_moments`]).
-    pub(crate) fn configure_incremental_moments(&mut self, on: bool) {
-        self.engine.set_incremental_moments(on);
-        self.scan_pool.clear();
-    }
-
-    /// Extends the incremental substitution from the moments to the full
-    /// per-window statistic set (see
-    /// [`crate::variant::FicsumBuilder::incremental_stats`]): switches the
-    /// frame windows' per-source statistic banks on at the extractor's MI
-    /// resolution and lets the engine substitute ACF/PACF, lagged MI and
-    /// the turning-point rate (which implies incremental moments) and cache
-    /// IMF entropies per source.
-    pub(crate) fn configure_incremental_stats(&mut self, on: bool) {
-        if on {
-            let bins = self.engine.extractor().mi_bins();
-            self.frames.enable_stats(bins);
-            self.engine.set_incremental_moments(true);
-        } else {
-            self.frames.disable_stats();
-        }
-        self.engine.set_incremental_stats(on);
-        self.scan_pool.clear();
-    }
-
-    /// Bounds how often the engine re-sifts IMF entropies under incremental
-    /// statistics (see [`crate::variant::FicsumBuilder::emd_stride`]).
-    pub(crate) fn configure_emd_stride(&mut self, stride: u32) {
-        self.engine.set_emd_stride(stride);
-        self.scan_pool.clear();
-    }
-
     /// The fingerprint engine driving extraction.
     pub fn engine(&self) -> &FingerprintEngine {
         &self.engine
@@ -532,8 +498,8 @@ impl Ficsum {
             return None;
         }
         let mut f_a = Vec::new();
-        self.engine.extract_tracked_frames_repredicted_into(
-            &self.frames.a_tracked(),
+        self.engine.extract_frames_repredicted_into(
+            &self.frames.a_view(),
             self.active_clf.as_ref(),
             &mut f_a,
         );
@@ -543,8 +509,8 @@ impl Ficsum {
         let mut n = 0.0;
         let mut f_as = Vec::new();
         for entry in self.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
-            self.engine.extract_tracked_frames_repredicted_into(
-                &self.frames.a_tracked(),
+            self.engine.extract_frames_repredicted_into(
+                &self.frames.a_view(),
                 entry.classifier.as_ref(),
                 &mut f_as,
             );
@@ -638,8 +604,8 @@ impl Ficsum {
     }
 
     /// Grows the scan-worker engine pool to `n` single-threaded clones of
-    /// the main engine (same extractor and incremental-moments setting, no
-    /// span clock — the workers' cost is attributed to the selection span).
+    /// the main engine (same extractor, no span clock — the workers' cost is
+    /// attributed to the selection span).
     fn ensure_scan_pool(&mut self, n: usize) {
         while self.scan_pool.len() < n {
             let mut e = self.engine.clone();
@@ -666,11 +632,7 @@ impl Ficsum {
     /// repository order, and the acceptance fold runs over the merged list
     /// exactly as the sequential loop would: the outcome is bit-identical
     /// whichever thread scored an entry.
-    /// `scan_ready` means the caller already built `window_scan` for this
-    /// exact window (the drift path scans the live tracked window *before*
-    /// copying it out, so the scan can reuse per-source EMD state); when
-    /// false the scan is built here from the copied block.
-    fn select_best(&mut self, window: &FrameBlock, scan_ready: bool) -> Option<(ConceptId, f64)> {
+    fn select_best(&mut self, window: &FrameBlock) -> Option<(ConceptId, f64)> {
         let norm_v = self.normalizer.version();
         // Phase 0: refresh each candidate's cached selection side (cheap
         // version check per entry; recomputed only after the fingerprint or
@@ -692,11 +654,7 @@ impl Ficsum {
         // same whichever stored classifier re-predicts it, so they are
         // evaluated once here and spliced into every candidate extraction
         // (and the recheck's incumbent extraction) below.
-        if !scan_ready {
-            let Self { engine, window_scan, .. } = self;
-            engine.static_scan_frames(window, window_scan);
-        }
-        debug_assert!(self.window_scan.is_ready());
+        self.engine.static_scan_frames(window, &mut self.window_scan);
         // Phase 1: score every candidate -> (id, sim, mu, sigma) in
         // repository order.
         let mut scored: Vec<(ConceptId, f64, f64, f64)> = Vec::with_capacity(n_cands);
@@ -784,10 +742,10 @@ impl Ficsum {
 
     /// Model selection (Algorithm 1 lines 25–35): store the incumbent, test
     /// every stored concept, and activate the best acceptor or a fresh one.
-    fn model_select(&mut self, window: &FrameBlock, scan_ready: bool) -> Selection {
+    fn model_select(&mut self, window: &FrameBlock) -> Selection {
         let from = self.active_id;
         self.store_active();
-        let (selection, similarity) = match self.select_best(window, scan_ready) {
+        let (selection, similarity) = match self.select_best(window) {
             Some((id, sim)) => {
                 self.activate(id);
                 self.stats.n_reuses += 1;
@@ -819,8 +777,8 @@ impl Ficsum {
     /// the incumbent, it is selected; a newly created incumbent is deleted
     /// ("the alternative is deleted"), a reused incumbent returns to the
     /// repository.
-    fn run_recheck(&mut self, window: &FrameBlock, incumbent_new: bool, scan_ready: bool) {
-        let best = self.select_best(window, scan_ready);
+    fn run_recheck(&mut self, window: &FrameBlock, incumbent_new: bool) {
+        let best = self.select_best(window);
         let Some((id, best_sim)) = best else { return };
         // Score the incumbent on the same pure window; a fresh incumbent
         // with no history scores 0 (it cannot defend itself yet).
@@ -901,9 +859,6 @@ impl Ficsum {
                 self.stats.n_plasticity_resets += 1;
                 self.emit(StreamEvent::PlasticityReset);
                 self.recorder.counter("ficsum.plasticity_resets", 1);
-                // The grown classifier re-predicts differently from here on;
-                // do not let stale cached entropies bridge the change.
-                self.engine.invalidate_emd_cache();
                 // The reset dimensions read as empty until buffer windows
                 // refill them; comparing against the half-empty fingerprint
                 // would register as (false) drift.
@@ -962,8 +917,8 @@ impl Ficsum {
                 let t0 = self.span_start();
                 {
                     let Self { engine, frames, active_clf, fp_b, .. } = self;
-                    engine.extract_tracked_frames_repredicted_into(
-                        &frames.stale_tracked(),
+                    engine.extract_frames_repredicted_into(
+                        &frames.stale_view(),
                         active_clf.as_ref(),
                         fp_b,
                     );
@@ -1028,8 +983,8 @@ impl Ficsum {
                 let t0 = self.span_start();
                 {
                     let Self { engine, frames, active_clf, fp_a, .. } = self;
-                    engine.extract_tracked_frames_repredicted_into(
-                        &frames.a_tracked(),
+                    engine.extract_frames_repredicted_into(
+                        &frames.a_view(),
                         active_clf.as_ref(),
                         fp_a,
                     );
@@ -1125,22 +1080,9 @@ impl Ficsum {
                     let mut block = std::mem::take(&mut self.drift_block);
                     block.copy_from(&self.frames.a_view());
                     let t0 = self.span_start();
-                    // Under incremental statistics, scan the *live* tracked
-                    // window instead of the copied block: the selection scan
-                    // then shares the window's statistic banks and — because
-                    // `fp_a` was just extracted from these exact contents —
-                    // reuses the cached IMF entropies by content hash.
-                    let scan_ready = self.engine.incremental_stats();
-                    if scan_ready {
-                        let Self { engine, frames, window_scan, .. } = self;
-                        engine.static_scan_tracked(&frames.a_tracked(), window_scan);
-                    }
-                    let selection = self.model_select(&block, scan_ready);
+                    let selection = self.model_select(&block);
                     self.span_end(Stage::RepositoryReassess, t0);
                     self.drift_block = block;
-                    // The active classifier changed: cached EMD values for
-                    // prediction-dependent sources belong to the old one.
-                    self.engine.invalidate_emd_cache();
                     outcome.concept_switched = true;
                     self.frames.clear_buffer();
                     self.detector.reset();
@@ -1176,14 +1118,14 @@ impl Ficsum {
             let t0 = self.span_start();
             {
                 let Self { engine, repo, frames, fp_tmp, window_scan, .. } = self;
-                let tracked = frames.a_tracked();
+                let view = frames.a_view();
                 // One static scan of `A` serves every stored classifier:
                 // only the classifier-dependent sources are re-evaluated
                 // per entry.
-                engine.static_scan_tracked(&tracked, window_scan);
+                engine.static_scan_frames(&view, window_scan);
                 for entry in repo.iter_mut() {
                     engine.extract_with_scan(
-                        &tracked,
+                        &view,
                         &*window_scan,
                         entry.classifier.as_ref(),
                         fp_tmp,
@@ -1202,17 +1144,11 @@ impl Ficsum {
                 let mut block = std::mem::take(&mut self.drift_block);
                 block.copy_from(&self.frames.a_view());
                 let t0 = self.span_start();
-                let scan_ready = self.engine.incremental_stats();
-                if scan_ready {
-                    let Self { engine, frames, window_scan, .. } = self;
-                    engine.static_scan_tracked(&frames.a_tracked(), window_scan);
-                }
-                self.run_recheck(&block, recheck.created_new, scan_ready);
+                self.run_recheck(&block, recheck.created_new);
                 self.span_end(Stage::RepositoryReassess, t0);
                 self.drift_block = block;
                 if self.active_id != before {
                     outcome.concept_switched = true;
-                    self.engine.invalidate_emd_cache();
                 }
             }
         }

@@ -51,9 +51,6 @@ pub struct SessionTemplate {
     config: FicsumConfig,
     variant: Variant,
     parallelism: usize,
-    incremental_moments: bool,
-    incremental_stats: bool,
-    emd_stride: u32,
     factory: Arc<FactoryFn>,
 }
 
@@ -74,9 +71,6 @@ impl SessionTemplate {
             config,
             variant,
             parallelism: 1,
-            incremental_moments: false,
-            incremental_stats: false,
-            emd_stride: 1,
             factory: Arc::new(move || {
                 Box::new(move || {
                     Box::new(HoeffdingTree::new(n_features, n_classes)) as Box<dyn Classifier>
@@ -102,31 +96,6 @@ impl SessionTemplate {
     #[must_use]
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
-        self
-    }
-
-    /// Enables the engine's incremental-moment substitution (see
-    /// [`crate::variant::FicsumBuilder::incremental_moments`]).
-    #[must_use]
-    pub fn with_incremental_moments(mut self, on: bool) -> Self {
-        self.incremental_moments = on;
-        self
-    }
-
-    /// Enables the engine's full incremental statistic substitution (see
-    /// [`crate::variant::FicsumBuilder::incremental_stats`]). Implies
-    /// incremental moments.
-    #[must_use]
-    pub fn with_incremental_stats(mut self, on: bool) -> Self {
-        self.incremental_stats = on;
-        self
-    }
-
-    /// Bounds the EMD re-sifting cadence under incremental statistics (see
-    /// [`crate::variant::FicsumBuilder::emd_stride`]).
-    #[must_use]
-    pub fn with_emd_stride(mut self, stride: u32) -> Self {
-        self.emd_stride = stride.max(1);
         self
     }
 
@@ -165,15 +134,6 @@ impl SessionTemplate {
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
         }
-        if self.incremental_moments {
-            ficsum.configure_incremental_moments(true);
-        }
-        if self.incremental_stats {
-            ficsum.configure_incremental_stats(true);
-        }
-        if self.emd_stride != 1 {
-            ficsum.configure_emd_stride(self.emd_stride);
-        }
         ficsum
     }
 
@@ -188,32 +148,15 @@ impl SessionTemplate {
     /// observations the original session would have seen next, it produces
     /// the same [`crate::StepOutcome`]s and statistics as the uninterrupted
     /// original (pinned by the snapshot→restore→replay property test). The
-    /// template's parallelism and incremental-statistics options are
-    /// applied to the restored session. Parallelism is bit-identical to
-    /// sequential, so it may differ freely from the capturing template. The
-    /// incremental options change extraction arithmetic (within their
-    /// ≤ 1e-9 contract), so bit-identical replay requires the same settings
-    /// the capturing session ran with; the checkpointed frame windows carry
-    /// their statistic banks, and re-enabling the same resolution on
-    /// restore is an exact no-op. One caveat: the engine's EMD entropy
-    /// cache is scratch, not state, so an `emd_stride` above 1 restarts
-    /// its re-sift cadence at the restore point — replay stays within the
-    /// tolerance contract but is bit-pinned only at the default stride.
+    /// template's parallelism is applied to the restored session; it is
+    /// bit-identical to sequential, so it may differ freely from the
+    /// capturing template.
     pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Ficsum, RestoreError> {
         self.validate_checkpoint(checkpoint)?;
         let extractor = self.variant.extractor(self.n_features);
         let mut ficsum = Ficsum::from_checkpoint(checkpoint, extractor, (self.factory)());
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
-        }
-        if self.incremental_moments {
-            ficsum.configure_incremental_moments(true);
-        }
-        if self.incremental_stats {
-            ficsum.configure_incremental_stats(true);
-        }
-        if self.emd_stride != 1 {
-            ficsum.configure_emd_stride(self.emd_stride);
         }
         Ok(ficsum)
     }
@@ -257,9 +200,6 @@ impl std::fmt::Debug for SessionTemplate {
             .field("n_classes", &self.n_classes)
             .field("variant", &self.variant)
             .field("parallelism", &self.parallelism)
-            .field("incremental_moments", &self.incremental_moments)
-            .field("incremental_stats", &self.incremental_stats)
-            .field("emd_stride", &self.emd_stride)
             .finish_non_exhaustive()
     }
 }

@@ -76,9 +76,6 @@ pub struct FicsumBuilder {
     recorder: Option<Box<dyn Recorder>>,
     clock: Option<Arc<dyn Clock>>,
     parallelism: usize,
-    incremental_moments: bool,
-    incremental_stats: bool,
-    emd_stride: u32,
 }
 
 impl FicsumBuilder {
@@ -93,9 +90,6 @@ impl FicsumBuilder {
             recorder: None,
             clock: None,
             parallelism: 1,
-            incremental_moments: false,
-            incremental_stats: false,
-            emd_stride: 1,
         }
     }
 
@@ -143,39 +137,6 @@ impl FicsumBuilder {
         self
     }
 
-    /// Lets the engine substitute the window's incremental moments for the
-    /// batch moment sweep (O(1) per observation, ≤ 1e-9 relative
-    /// difference). Off by default because drift trajectories are feedback
-    /// loops: bit-exactness keeps them reproducible against the reference
-    /// path.
-    pub fn incremental_moments(mut self, on: bool) -> Self {
-        self.incremental_moments = on;
-        self
-    }
-
-    /// Extends the incremental substitution from the moments to the full
-    /// per-window statistic set: ACF/PACF at lags 1–2 from rolling centered
-    /// cross-sums, lagged mutual information from an add/remove joint
-    /// histogram, the turning-point rate from an exact counter — all O(1)
-    /// per observation — plus content-hash reuse of IMF entropies. Implies
-    /// [`FicsumBuilder::incremental_moments`]. Substituted values agree
-    /// with the batch sweep to ≤ 1e-9 relative (MI and turning points are
-    /// bit-identical); off by default for the same reproducibility reason.
-    pub fn incremental_stats(mut self, on: bool) -> Self {
-        self.incremental_stats = on;
-        self
-    }
-
-    /// Bounds how often IMF entropies are re-sifted when
-    /// [`FicsumBuilder::incremental_stats`] is on: a changed window
-    /// re-computes them at most every `stride`-th extraction per source
-    /// (default 1 = on every change, faithful to the batch values; larger
-    /// strides trade bounded staleness for a proportional cut in EMD cost).
-    pub fn emd_stride(mut self, stride: u32) -> Self {
-        self.emd_stride = stride.max(1);
-        self
-    }
-
     /// Builds the framework instance.
     ///
     /// Fails with a [`ConfigError`] if the hyper-parameters are invalid
@@ -202,15 +163,6 @@ impl FicsumBuilder {
         }
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
-        }
-        if self.incremental_moments {
-            ficsum.configure_incremental_moments(true);
-        }
-        if self.incremental_stats {
-            ficsum.configure_incremental_stats(true);
-        }
-        if self.emd_stride != 1 {
-            ficsum.configure_emd_stride(self.emd_stride);
         }
         Ok(ficsum)
     }

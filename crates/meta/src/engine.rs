@@ -1,5 +1,5 @@
-//! The fingerprint engine: incremental, allocation-free, optionally
-//! parallel meta-feature extraction.
+//! The fingerprint engine: allocation-free, optionally parallel
+//! meta-feature extraction.
 //!
 //! [`FingerprintExtractor::extract`] is a faithful but naive transcription
 //! of the paper: every call materialises one `Vec` per behaviour source,
@@ -17,82 +17,38 @@
 //!   spline fitting included).
 //! * **Fused moments** — mean, standard deviation, skew and kurtosis come
 //!   from a single two-pass sweep instead of nine, with bit-identical
-//!   results to the batch functions. When extracting from a
-//!   [`TrackedWindow`], the feature and label moment dimensions instead
-//!   read the window's incrementally maintained [`Moments`]
-//!   (`O(1)` per observation rather than `O(window)` per fingerprint).
+//!   results to the batch functions.
+//! * **Shared static scan** — a repository sweep scores one window under
+//!   many classifiers; the classifier-independent sources are evaluated
+//!   once into a [`StaticScan`] and reused for every classifier.
 //! * **Opt-in parallelism** — [`FingerprintEngine::set_threads`] fans the
 //!   `d + 4` behaviour sources across a [`std::thread::scope`] worker pool.
 //!   Each source's computation is independent and writes a disjoint slice
 //!   of the output, so parallel extraction is bit-identical to sequential.
 //!
-//! The legacy [`FingerprintExtractor::extract`] path is kept untouched: it
-//! is the reference the engine is tested against, and the baseline for the
-//! throughput comparison in `ficsum-bench`.
+//! Every entry point reads its window through [`FrameSource`] — ring views,
+//! owned frame blocks and observation slices — and produces the same bits
+//! as [`FingerprintExtractor::extract`] on the same observations. The
+//! legacy extractor path is kept untouched: it is the reference the engine
+//! is tested against, and the baseline for the throughput comparison in
+//! `ficsum-bench`.
 
 use std::sync::Arc;
 
 use ficsum_classifiers::Classifier;
 use ficsum_obs::Clock;
-use ficsum_stream::{FrameSource, LabeledObservation, Moments, MomentSource, StatSource, TrackedWindow};
+use ficsum_stream::{FrameSource, LabeledObservation};
 
 use crate::autocorr::{autocorrelation, partial_autocorrelation};
 use crate::emd::{imf_entropies_scratch, EmdConfig, EmdScratch};
 use crate::extractor::{FingerprintExtractor, FingerprintSchema};
 use crate::functions::{turning_point_rate, MetaFunction};
-use crate::incremental::{ext_vals, ExtVals};
 use crate::mutual_info::{lagged_mutual_information_scratch, MiScratch};
 use crate::sources::{behaviour_sources, SourceKind};
 
-/// Statistics pre-computed by a tracked window; substituted for the batch
-/// sweeps on sources whose membership the window tracks.
-#[derive(Debug, Clone, Copy)]
-struct TrackedVals {
-    mean: f64,
-    std_dev: f64,
-    skewness: f64,
-    kurtosis: f64,
-    /// Incrementally maintained sequence statistics (ACF, PACF, lagged MI,
-    /// turning-point rate); `None` = batch sweep for those functions.
-    ext: Option<ExtVals>,
-}
-
-/// One cached EMD result: the IMF entropies of the last sequence this
-/// source computed them for, keyed by a content hash so an unchanged
-/// window reuses them exactly, plus a staleness age for the bounded-stride
-/// amortisation of [`FingerprintEngine::set_emd_stride`].
-#[derive(Debug, Clone, Copy, Default)]
-struct EmdSlot {
-    hash: u64,
-    len: usize,
-    vals: (f64, f64),
-    /// Consecutive stale reuses since the last fresh sifting.
-    age: u32,
-    valid: bool,
-}
-
-/// One work item of the parallel source sweep: the source sequence, its
-/// tracked substitutes, its EMD cache slot (with the stride budget), the
+/// One work item of the parallel source sweep: the source sequence, the
 /// disjoint output chunk it fills, and its per-source timing slot.
-type SourceTask<'a> = (
-    &'a [f64],
-    Option<TrackedVals>,
-    Option<(&'a mut EmdSlot, u32)>,
-    &'a mut [f64],
-    &'a mut u64,
-);
-
-impl TrackedVals {
-    fn from_moments(m: &Moments) -> Self {
-        Self {
-            mean: m.mean(),
-            std_dev: m.std_dev(),
-            skewness: m.skewness(),
-            kurtosis: m.kurtosis(),
-            ext: None,
-        }
-    }
-}
+type SourceTask<'a> = (&'a [f64], &'a mut [f64], &'a mut u64);
 
 /// Per-worker scratch: everything one behaviour source needs.
 #[derive(Debug, Clone, Default)]
@@ -107,7 +63,7 @@ struct SourceScratch {
 /// feature and label behaviour sources do not depend on the classifier, yet
 /// the plain entry points re-evaluate their meta-functions (EMD sifting,
 /// mutual information, autocorrelation, the moment sweep) once per
-/// classifier. [`FingerprintEngine::static_scan_tracked`] evaluates those
+/// classifier. [`FingerprintEngine::static_scan_frames`] evaluates those
 /// sources once into this cache; [`FingerprintEngine::extract_with_scan`]
 /// then copies the cached dimensions and computes only the
 /// prediction-dependent sources and the importance tail per classifier.
@@ -132,11 +88,6 @@ impl StaticScan {
         Self::default()
     }
 
-    /// Whether a window has been scanned into this cache.
-    pub fn is_ready(&self) -> bool {
-        self.ready
-    }
-
     /// Drops the scan; the next use requires a rebuild.
     pub fn invalidate(&mut self) {
         self.ready = false;
@@ -157,27 +108,8 @@ pub struct FingerprintEngine {
     kinds: Vec<SourceKind>,
     /// Worker threads for the per-source fan-out; 1 = sequential.
     threads: usize,
-    /// Whether the tracked-window entry points may substitute incremental
-    /// moments for the batch sweep (off by default: bit-exact batch).
-    incremental_moments: bool,
-    /// Whether the tracked-window entry points may substitute the full
-    /// incremental sequence-statistic set (ACF/PACF, lagged MI, turning
-    /// points) and cache IMF entropies per source. Off by default.
-    incremental_stats: bool,
-    /// EMD amortisation budget: recompute IMF entropies for a changed
-    /// window at most every `emd_stride`-th extraction per source. `1`
-    /// (default) = recompute on every content change.
-    emd_stride: u32,
-    /// Which EMD cache bank the current tracked extraction uses (`None` =
-    /// caching off for this call).
-    active_bank: Option<usize>,
-    /// Per-source EMD cache slots, one bank per window tag (0 = active A,
-    /// 1 = stale B) so the two fingerprint cadences never evict each other.
-    emd_cache: [Vec<EmdSlot>; 2],
     /// One cached sequence buffer per selected source.
     seqs: Vec<Vec<f64>>,
-    /// Tracked moment substitutes, aligned with `kinds` (`None` = batch).
-    tracked: Vec<Option<TrackedVals>>,
     /// Re-predicted labels for [`FingerprintEngine::extract_repredicted`].
     preds: Vec<usize>,
     /// Probability scratch for allocation-free classifier calls.
@@ -211,13 +143,7 @@ impl FingerprintEngine {
             extractor,
             kinds,
             threads: 1,
-            incremental_moments: false,
-            incremental_stats: false,
-            emd_stride: 1,
-            active_bank: None,
-            emd_cache: [Vec::new(), Vec::new()],
             seqs: vec![Vec::new(); n_sources],
-            tracked: Vec::new(),
             preds: Vec::new(),
             proba: Vec::new(),
             contrib: Vec::new(),
@@ -246,98 +172,6 @@ impl FingerprintEngine {
     /// Current worker-thread setting.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Builder-style variant of
-    /// [`FingerprintEngine::set_incremental_moments`].
-    pub fn with_incremental_moments(mut self, on: bool) -> Self {
-        self.set_incremental_moments(on);
-        self
-    }
-
-    /// Lets the tracked-window entry points source the four moment features
-    /// (mean, standard deviation, skew, kurtosis) of feature and label
-    /// sequences from the window's incremental [`Moments`] — O(1) per
-    /// observation instead of a per-extraction sweep. The substituted values
-    /// agree with the batch sweep to ≤ 1e-9 relative but are *not*
-    /// bit-identical, so this is off by default: drift-detection
-    /// trajectories are feedback loops in which any numeric difference can
-    /// compound.
-    pub fn set_incremental_moments(&mut self, on: bool) {
-        self.incremental_moments = on;
-    }
-
-    /// Whether incremental moment substitution is enabled.
-    pub fn incremental_moments(&self) -> bool {
-        self.incremental_moments
-    }
-
-    /// Builder-style variant of [`FingerprintEngine::set_incremental_stats`].
-    pub fn with_incremental_stats(mut self, on: bool) -> Self {
-        self.set_incremental_stats(on);
-        self
-    }
-
-    /// Extends the incremental substitution from the moments to the full
-    /// per-window statistic set on tracked entry points: ACF/PACF at lags
-    /// 1–2 come from rolling centered cross-sums, lagged mutual information
-    /// from an add/remove joint histogram, and the turning-point rate from
-    /// an exact counter — all maintained by the window in O(1) per
-    /// observation (see [`ficsum_stream::SeqStats`]). The window must have
-    /// statistics enabled ([`ficsum_stream::FrameWindows::enable_stats`]
-    /// with the extractor's MI bin count); sources without usable state
-    /// silently fall back to the batch sweep.
-    ///
-    /// Enabling this also enables the moment substitution for tracked
-    /// sources (the two share the same ≤ 1e-9 relative tolerance contract;
-    /// MI and turning points are bit-identical). IMF entropies are
-    /// additionally cached per source behind a content hash — identical
-    /// window contents reuse the previous sifting exactly; see
-    /// [`FingerprintEngine::set_emd_stride`] for the amortised schedule.
-    /// Off by default: the batch path stays bit-exact.
-    pub fn set_incremental_stats(&mut self, on: bool) {
-        self.incremental_stats = on;
-        if !on {
-            self.active_bank = None;
-        }
-    }
-
-    /// Whether incremental sequence-statistic substitution is enabled.
-    pub fn incremental_stats(&self) -> bool {
-        self.incremental_stats
-    }
-
-    /// Builder-style variant of [`FingerprintEngine::set_emd_stride`].
-    pub fn with_emd_stride(mut self, stride: u32) -> Self {
-        self.set_emd_stride(stride);
-        self
-    }
-
-    /// Bounds how often IMF entropies are re-sifted when incremental
-    /// statistics are on: a *changed* window recomputes them at most every
-    /// `stride`-th extraction per source, reusing the previous values in
-    /// between (an *unchanged* window always reuses them exactly, at any
-    /// stride). `1` — the default — recomputes on every change, so the EMD
-    /// dimensions stay faithful to the batch path; larger strides trade
-    /// bounded staleness (at most `stride - 1` fingerprint gaps) for a
-    /// proportional cut in sifting cost, which dominates extraction time.
-    pub fn set_emd_stride(&mut self, stride: u32) {
-        self.emd_stride = stride.max(1);
-    }
-
-    /// Current EMD amortisation stride.
-    pub fn emd_stride(&self) -> u32 {
-        self.emd_stride
-    }
-
-    /// Drops every cached EMD result. The framework calls this when the
-    /// active classifier changes (model switch, plasticity reset): the
-    /// prediction-dependent sources' sequences change meaning, so stale
-    /// reuse across the switch would mix classifiers.
-    pub fn invalidate_emd_cache(&mut self) {
-        for bank in &mut self.emd_cache {
-            bank.iter_mut().for_each(|s| s.valid = false);
-        }
     }
 
     /// Enables per-source extraction timing against `clock` (pass `None` to
@@ -427,8 +261,6 @@ impl FingerprintEngine {
         classifier: Option<&dyn Classifier>,
         out: &mut Vec<f64>,
     ) {
-        self.tracked.clear();
-        self.active_bank = None;
         self.run(src, classifier, false, out);
     }
 
@@ -465,66 +297,6 @@ impl FingerprintEngine {
         classifier: &dyn Classifier,
         out: &mut Vec<f64>,
     ) {
-        self.tracked.clear();
-        self.active_bank = None;
-        self.run(src, Some(classifier), true, out);
-    }
-
-    /// Extracts from a [`TrackedWindow`] without copying it out. When
-    /// [`FingerprintEngine::set_incremental_moments`] is enabled, the
-    /// feature and label moment dimensions come from the window's
-    /// incremental [`Moments`] instead of a batch sweep (≤ 1e-9 relative
-    /// difference); otherwise the result is bit-identical to
-    /// [`FingerprintEngine::extract`] on the same observations.
-    pub fn extract_tracked(
-        &mut self,
-        window: &TrackedWindow,
-        classifier: Option<&dyn Classifier>,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_tracked_frames_into(window, classifier, &mut out);
-        out
-    }
-
-    /// [`FingerprintEngine::extract_tracked`] with re-prediction, the
-    /// framework's hot path: fingerprint the current window as seen by an
-    /// arbitrary classifier, with no window clone and O(1) moment updates.
-    pub fn extract_tracked_repredicted(
-        &mut self,
-        window: &TrackedWindow,
-        classifier: &dyn Classifier,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_tracked_frames_repredicted_into(window, classifier, &mut out);
-        out
-    }
-
-    /// [`FingerprintEngine::extract_tracked`] over any frame window that
-    /// carries incremental moments (ring-backed [`ficsum_stream::TrackedFrames`]
-    /// or the legacy [`TrackedWindow`]), writing into `out`.
-    pub fn extract_tracked_frames_into<S: FrameSource + MomentSource + StatSource + ?Sized>(
-        &mut self,
-        src: &S,
-        classifier: Option<&dyn Classifier>,
-        out: &mut Vec<f64>,
-    ) {
-        self.fill_tracked_vals(src, false);
-        self.set_active_bank(src);
-        self.run(src, classifier, false, out);
-    }
-
-    /// [`FingerprintEngine::extract_tracked_repredicted`] over any tracked
-    /// frame window, writing into `out`.
-    pub fn extract_tracked_frames_repredicted_into<
-        S: FrameSource + MomentSource + StatSource + ?Sized,
-    >(
-        &mut self,
-        src: &S,
-        classifier: &dyn Classifier,
-        out: &mut Vec<f64>,
-    ) {
-        self.fill_tracked_vals(src, true);
-        self.set_active_bank(src);
         self.run(src, Some(classifier), true, out);
     }
 
@@ -532,41 +304,8 @@ impl FingerprintEngine {
     /// for a sweep that scores one window under many classifiers via
     /// [`FingerprintEngine::extract_with_scan`].
     pub fn static_scan_frames<S: FrameSource + ?Sized>(&mut self, src: &S, scan: &mut StaticScan) {
-        self.tracked.clear();
-        self.active_bank = None;
-        self.static_scan_common(src, scan);
-    }
-
-    /// [`FingerprintEngine::static_scan_frames`] over a moment-tracking
-    /// window (the incremental-moment substitutes apply exactly as in
-    /// [`FingerprintEngine::extract_tracked_frames_repredicted_into`]).
-    pub fn static_scan_tracked<S: FrameSource + MomentSource + StatSource + ?Sized>(
-        &mut self,
-        src: &S,
-        scan: &mut StaticScan,
-    ) {
-        self.fill_tracked_vals(src, true);
-        self.set_active_bank(src);
-        self.static_scan_common(src, scan);
-    }
-
-    fn static_scan_common<S: FrameSource + ?Sized>(&mut self, src: &S, scan: &mut StaticScan) {
         let n = src.len();
-        let Self {
-            extractor,
-            kinds,
-            seqs,
-            tracked,
-            workers,
-            clock,
-            source_nanos,
-            emd_cache,
-            emd_stride,
-            active_bank,
-            ..
-        } = self;
-        let emd_stride = *emd_stride;
-        let mut cache = active_bank.map(|b| &mut emd_cache[b]);
+        let Self { extractor, kinds, seqs, workers, clock, source_nanos, .. } = self;
         let functions = extractor.functions();
         let nf = functions.len();
         scan.vals.clear();
@@ -604,17 +343,7 @@ impl FingerprintEngine {
                 continue;
             }
             let t0 = clock.as_deref().map(Clock::now_nanos);
-            eval_source_into(
-                seq,
-                functions,
-                needs_emd,
-                &emd_cfg,
-                mi_bins,
-                tracked.get(i).copied().flatten(),
-                cache.as_deref_mut().map(|c| (&mut c[i], emd_stride)),
-                worker,
-                chunk,
-            );
+            eval_source_into(seq, functions, needs_emd, &emd_cfg, mi_bins, worker, chunk);
             if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
                 *nano += c.now_nanos().saturating_sub(t0);
             }
@@ -625,10 +354,9 @@ impl FingerprintEngine {
     /// scanned into `scan`: the cached classifier-independent dimensions
     /// are copied, and only the prediction-dependent sources plus the
     /// importance tail are computed. Bit-identical to
-    /// [`FingerprintEngine::extract_frames_repredicted_into`] (or the
-    /// tracked variant, when the scan was built with
-    /// [`FingerprintEngine::static_scan_tracked`]) on the same window —
-    /// `src` must hold exactly the contents the scan was built from.
+    /// [`FingerprintEngine::extract_frames_repredicted_into`] on the same
+    /// window — `src` must hold exactly the contents the scan was built
+    /// from.
     pub fn extract_with_scan<S: FrameSource + ?Sized>(
         &mut self,
         src: &S,
@@ -711,9 +439,7 @@ impl FingerprintEngine {
                         continue;
                     }
                     let t0 = clock.as_deref().map(Clock::now_nanos);
-                    eval_source_into(
-                        seq, functions, needs_emd, &emd_cfg, mi_bins, None, None, worker, chunk,
-                    );
+                    eval_source_into(seq, functions, needs_emd, &emd_cfg, mi_bins, worker, chunk);
                     if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
                         *nano += c.now_nanos().saturating_sub(t0);
                     }
@@ -744,99 +470,6 @@ impl FingerprintEngine {
             }
         }
         debug_assert_eq!(out.len(), self.extractor.schema().len());
-    }
-
-    /// Populates the tracked substitutes for window-membership sources. A
-    /// no-op unless incremental moments or statistics are enabled — an
-    /// empty `tracked` vector means every source takes the batch path. With
-    /// incremental statistics on, each tracked source additionally carries
-    /// the evaluated sequence statistics, or `None` for them when the
-    /// window's state cannot honour the tolerance contract (see
-    /// [`crate::incremental`]).
-    ///
-    /// Features and labels are classifier-independent and substitute in
-    /// every mode. The prediction and error sources substitute only for
-    /// *non-repredicting* extraction (`repredict == false`): a repredicting
-    /// pass replaces the prediction sequence with the classifier's current
-    /// output, which the push-time banks do not describe. Error distances
-    /// are derived (not push-aligned) and always take the batch path.
-    fn fill_tracked_vals<M: FrameSource + MomentSource + StatSource + ?Sized>(
-        &mut self,
-        window: &M,
-        repredict: bool,
-    ) {
-        debug_assert!(window.n_feature_moments() >= self.extractor.n_features());
-        self.tracked.clear();
-        if !self.incremental_moments && !self.incremental_stats {
-            return;
-        }
-        let n = window.len();
-        let mi_bins = self.extractor.mi_bins();
-        let want_ext = self.incremental_stats;
-        for &kind in &self.kinds {
-            self.tracked.push(match kind {
-                SourceKind::Feature(j) => {
-                    let m = window.feature_moments(j);
-                    let mut tv = TrackedVals::from_moments(m);
-                    if want_ext {
-                        tv.ext = window
-                            .feature_stats(j)
-                            .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.features(i)[j]));
-                    }
-                    Some(tv)
-                }
-                SourceKind::Labels => {
-                    let m = window.label_moments();
-                    let mut tv = TrackedVals::from_moments(m);
-                    if want_ext {
-                        tv.ext = window
-                            .label_stats()
-                            .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.label(i) as f64));
-                    }
-                    Some(tv)
-                }
-                // Predictions and errors only carry moments inside the stat
-                // bank, so their substitution is available in full
-                // incremental-statistics mode only (moments-only mode keeps
-                // them on the batch sweep, as it always has).
-                SourceKind::Predictions if want_ext && !repredict => {
-                    window.prediction_track().map(|(m, s)| {
-                        let mut tv = TrackedVals::from_moments(m);
-                        tv.ext = ext_vals(s, m, n, mi_bins, |i| window.prediction(i) as f64);
-                        tv
-                    })
-                }
-                SourceKind::Errors if want_ext && !repredict => {
-                    window.error_track().map(|(m, s)| {
-                        let mut tv = TrackedVals::from_moments(m);
-                        tv.ext = ext_vals(s, m, n, mi_bins, |i| {
-                            if window.prediction(i) != window.label(i) {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        });
-                        tv
-                    })
-                }
-                _ => None,
-            });
-        }
-    }
-
-    /// Selects (and lazily sizes) the EMD cache bank for a tracked
-    /// extraction from `src`; `None` when caching is off.
-    fn set_active_bank<S: StatSource + ?Sized>(&mut self, src: &S) {
-        self.active_bank = if self.incremental_stats {
-            let tag = src.window_tag().min(1);
-            let n = self.kinds.len();
-            if self.emd_cache[tag].len() != n {
-                self.emd_cache[tag] = vec![EmdSlot::default(); n];
-            }
-            Some(tag)
-        } else {
-            None
-        };
     }
 
     /// Shared extraction core over any frame source.
@@ -944,40 +577,21 @@ impl FingerprintEngine {
             .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2));
         let emd_cfg = *self.extractor.emd_config();
         let mi_bins = self.extractor.mi_bins();
-        let emd_stride = self.emd_stride;
-        let tracked = &self.tracked;
         let seqs = &self.seqs;
         let clock = self.clock.clone();
         let nanos = &mut self.source_nanos;
         if self.timed_extractions < u64::MAX {
             self.timed_extractions += clock.is_some() as u64;
         }
-        let tracked_of = |i: usize| tracked.get(i).copied().flatten();
-        let mut cache = match self.active_bank {
-            Some(b) => Some(&mut self.emd_cache[b]),
-            None => None,
-        };
         let n_workers = self.threads.min(self.kinds.len());
         if n_workers <= 1 {
             if self.workers.is_empty() {
                 self.workers.push(SourceScratch::default());
             }
             let worker = &mut self.workers[0];
-            for (i, ((seq, chunk), nano)) in
-                seqs.iter().zip(out.chunks_mut(nf)).zip(nanos.iter_mut()).enumerate()
-            {
+            for ((seq, chunk), nano) in seqs.iter().zip(out.chunks_mut(nf)).zip(nanos.iter_mut()) {
                 let t0 = clock.as_deref().map(Clock::now_nanos);
-                eval_source_into(
-                    seq,
-                    functions,
-                    needs_emd,
-                    &emd_cfg,
-                    mi_bins,
-                    tracked_of(i),
-                    cache.as_deref_mut().map(|c| (&mut c[i], emd_stride)),
-                    worker,
-                    chunk,
-                );
+                eval_source_into(seq, functions, needs_emd, &emd_cfg, mi_bins, worker, chunk);
                 if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
                     *nano += c.now_nanos().saturating_sub(t0);
                 }
@@ -986,36 +600,25 @@ impl FingerprintEngine {
             if self.workers.len() < n_workers {
                 self.workers.resize_with(n_workers, SourceScratch::default);
             }
-            let mut slots: Vec<Option<(&mut EmdSlot, u32)>> =
-                Vec::with_capacity(self.kinds.len());
-            match cache {
-                Some(c) => slots.extend(c.iter_mut().map(|s| Some((s, emd_stride)))),
-                None => slots.extend(self.kinds.iter().map(|_| None)),
-            }
             // Round-robin the sources over the workers; each work item owns
-            // a disjoint slice of `out` (and its own timing and EMD cache
-            // slots), so no synchronisation is needed and the result cannot
-            // depend on scheduling.
+            // a disjoint slice of `out` (and its own timing slot), so no
+            // synchronisation is needed and the result cannot depend on
+            // scheduling.
             let mut batches: Vec<Vec<SourceTask<'_>>> =
                 (0..n_workers).map(|_| Vec::new()).collect();
-            for ((i, ((seq, chunk), nano)), slot) in seqs
-                .iter()
-                .zip(out.chunks_mut(nf))
-                .zip(nanos.iter_mut())
-                .enumerate()
-                .zip(slots)
+            for (i, ((seq, chunk), nano)) in
+                seqs.iter().zip(out.chunks_mut(nf)).zip(nanos.iter_mut()).enumerate()
             {
-                batches[i % n_workers].push((seq, tracked_of(i), slot, chunk, nano));
+                batches[i % n_workers].push((seq, chunk, nano));
             }
             std::thread::scope(|scope| {
                 for (worker, batch) in self.workers.iter_mut().zip(batches) {
                     let clock = clock.clone();
                     scope.spawn(move || {
-                        for (seq, tv, slot, chunk, nano) in batch {
+                        for (seq, chunk, nano) in batch {
                             let t0 = clock.as_deref().map(Clock::now_nanos);
                             eval_source_into(
-                                seq, functions, needs_emd, &emd_cfg, mi_bins, tv, slot, worker,
-                                chunk,
+                                seq, functions, needs_emd, &emd_cfg, mi_bins, worker, chunk,
                             );
                             if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
                                 *nano += c.now_nanos().saturating_sub(t0);
@@ -1034,84 +637,30 @@ fn kind_is_static(kind: SourceKind) -> bool {
     matches!(kind, SourceKind::Feature(_) | SourceKind::Labels)
 }
 
-/// FNV-1a over the IEEE-754 bit patterns of a sequence, one 64-bit word
-/// per value. Identifies unchanged window contents for EMD reuse; a
-/// collision between two *different* windows of equal length is the only
-/// way the exact-reuse path can misfire, at odds of ~2⁻⁶⁴ per comparison.
-fn hash_seq(seq: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &x in seq {
-        h ^= x.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ seq.len() as u64
-}
-
-/// EMD with the per-source cache: an unchanged sequence (by content hash)
-/// reuses the previous sifting exactly; a changed one reuses the stale
-/// values while the slot is within its stride budget, and re-sifts
-/// otherwise.
-fn cached_imf(
-    seq: &[f64],
-    emd_cfg: &EmdConfig,
-    scratch: &mut EmdScratch,
-    slot: &mut EmdSlot,
-    stride: u32,
-) -> (f64, f64) {
-    let hash = hash_seq(seq);
-    if slot.valid && slot.len == seq.len() && slot.hash == hash {
-        return slot.vals;
-    }
-    if slot.valid && stride > 1 && slot.age + 1 < stride {
-        slot.age += 1;
-        return slot.vals;
-    }
-    let vals = imf_entropies_scratch(seq, emd_cfg, scratch);
-    *slot = EmdSlot { hash, len: seq.len(), vals, age: 0, valid: true };
-    vals
-}
-
 /// Evaluates one behaviour source's function block into `out`
 /// (`out.len() == functions.len()`).
 ///
-/// The moment statistics come from a fused two-pass sweep (or the tracked
-/// substitutes); the remaining functions run on the cached sequence with
-/// scratch-backed EMD and MI, unless the tracked substitutes carry the
-/// incrementally evaluated sequence statistics. With no substitutes and no
-/// EMD cache slot, every value is bit-identical to the corresponding
+/// The moment statistics come from a fused two-pass sweep; the remaining
+/// functions run on the cached sequence with scratch-backed EMD and MI.
+/// Every value is bit-identical to the corresponding
 /// [`FingerprintExtractor::extract`] dimension.
-#[allow(clippy::too_many_arguments)]
 fn eval_source_into(
     seq: &[f64],
     functions: &[MetaFunction],
     needs_emd: bool,
     emd_cfg: &EmdConfig,
     mi_bins: usize,
-    tracked: Option<TrackedVals>,
-    emd_slot: Option<(&mut EmdSlot, u32)>,
     scratch: &mut SourceScratch,
     out: &mut [f64],
 ) {
-    let imf = if needs_emd {
-        Some(match emd_slot {
-            Some((slot, stride)) => cached_imf(seq, emd_cfg, &mut scratch.emd, slot, stride),
-            None => imf_entropies_scratch(seq, emd_cfg, &mut scratch.emd),
-        })
-    } else {
-        None
-    };
-    let ext = tracked.and_then(|t| t.ext);
+    let imf = needs_emd.then(|| imf_entropies_scratch(seq, emd_cfg, &mut scratch.emd));
     let n = seq.len();
-    let needs_moments = tracked.is_none()
-        && functions.iter().any(|f| {
-            matches!(
-                f,
-                MetaFunction::Mean
-                    | MetaFunction::StdDev
-                    | MetaFunction::Skew
-                    | MetaFunction::Kurtosis
-            )
-        });
+    let needs_moments = functions.iter().any(|f| {
+        matches!(
+            f,
+            MetaFunction::Mean | MetaFunction::StdDev | MetaFunction::Skew | MetaFunction::Kurtosis
+        )
+    });
     let mut mean_v = 0.0;
     let (mut cm2, mut cm3, mut cm4) = (0.0, 0.0, 0.0);
     if needs_moments && n > 0 {
@@ -1131,70 +680,42 @@ fn eval_source_into(
     }
     for (slot, &function) in out.iter_mut().zip(functions) {
         *slot = match function {
-            MetaFunction::Mean => match tracked {
-                Some(t) => t.mean,
-                None => {
-                    if n == 0 {
-                        0.0
-                    } else {
-                        mean_v
-                    }
+            MetaFunction::Mean => {
+                if n == 0 {
+                    0.0
+                } else {
+                    mean_v
                 }
-            },
-            MetaFunction::StdDev => match tracked {
-                Some(t) => t.std_dev,
-                None => {
-                    if n < 2 {
-                        0.0
-                    } else {
-                        cm2.sqrt()
-                    }
+            }
+            MetaFunction::StdDev => {
+                if n < 2 {
+                    0.0
+                } else {
+                    cm2.sqrt()
                 }
-            },
-            MetaFunction::Skew => match tracked {
-                Some(t) => t.skewness,
-                None => {
-                    if n < 3 || cm2 <= f64::EPSILON {
-                        0.0
-                    } else {
-                        cm3 / cm2.powf(1.5)
-                    }
+            }
+            MetaFunction::Skew => {
+                if n < 3 || cm2 <= f64::EPSILON {
+                    0.0
+                } else {
+                    cm3 / cm2.powf(1.5)
                 }
-            },
-            MetaFunction::Kurtosis => match tracked {
-                Some(t) => t.kurtosis,
-                None => {
-                    if n < 4 || cm2 <= f64::EPSILON {
-                        0.0
-                    } else {
-                        cm4 / (cm2 * cm2) - 3.0
-                    }
+            }
+            MetaFunction::Kurtosis => {
+                if n < 4 || cm2 <= f64::EPSILON {
+                    0.0
+                } else {
+                    cm4 / (cm2 * cm2) - 3.0
                 }
-            },
-            MetaFunction::Acf1 => match ext {
-                Some(e) => e.acf1,
-                None => autocorrelation(seq, 1),
-            },
-            MetaFunction::Acf2 => match ext {
-                Some(e) => e.acf2,
-                None => autocorrelation(seq, 2),
-            },
-            MetaFunction::Pacf1 => match ext {
-                Some(e) => e.pacf1,
-                None => partial_autocorrelation(seq, 1),
-            },
-            MetaFunction::Pacf2 => match ext {
-                Some(e) => e.pacf2,
-                None => partial_autocorrelation(seq, 2),
-            },
-            MetaFunction::MutualInformation => match ext {
-                Some(e) => e.mi,
-                None => lagged_mutual_information_scratch(seq, 1, mi_bins, &mut scratch.mi),
-            },
-            MetaFunction::TurningPointRate => match ext {
-                Some(e) => e.tpr,
-                None => turning_point_rate(seq),
-            },
+            }
+            MetaFunction::Acf1 => autocorrelation(seq, 1),
+            MetaFunction::Acf2 => autocorrelation(seq, 2),
+            MetaFunction::Pacf1 => partial_autocorrelation(seq, 1),
+            MetaFunction::Pacf2 => partial_autocorrelation(seq, 2),
+            MetaFunction::MutualInformation => {
+                lagged_mutual_information_scratch(seq, 1, mi_bins, &mut scratch.mi)
+            }
+            MetaFunction::TurningPointRate => turning_point_rate(seq),
             MetaFunction::ImfEntropy1 => imf.map_or(0.0, |(a, _)| a),
             MetaFunction::ImfEntropy2 => imf.map_or(0.0, |(_, b)| b),
             MetaFunction::FeatureImportance => {
@@ -1359,236 +880,47 @@ mod tests {
     }
 
     #[test]
-    fn tracked_extraction_is_bit_exact_by_default() {
+    fn ring_views_extract_bit_identically_to_collected_rows() {
+        // The framework extracts straight from ring-backed views; they must
+        // produce the same bits as the slice path on the same rows, for
+        // both windows, once the ring has wrapped, and across the stale
+        // window's restart after a drift.
         let mut rng = Xoshiro256pp::seed_from_u64(15);
-        let d = 3;
+        let (w, delay, d) = (30, 7, 3);
         let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d));
-        let mut tw = TrackedWindow::new(50, d);
-        for o in window(&mut rng, 120, d, 2) {
-            tw.push(o);
-        }
-        let contents: Vec<LabeledObservation> = tw.iter().cloned().collect();
-        let batch = engine.extract(&contents, None);
-        let tracked = engine.extract_tracked(&tw, None);
-        assert_eq!(batch, tracked);
-    }
-
-    #[test]
-    fn tracked_extraction_matches_batch_closely() {
-        let mut rng = Xoshiro256pp::seed_from_u64(15);
-        let d = 3;
-        let mut engine =
-            FingerprintEngine::new(FingerprintExtractor::full(d)).with_incremental_moments(true);
-        let mut tw = TrackedWindow::new(50, d);
-        for o in window(&mut rng, 120, d, 2) {
-            tw.push(o);
-        }
-        let contents: Vec<LabeledObservation> = tw.iter().cloned().collect();
-        let batch = engine.extract(&contents, None);
-        let tracked = engine.extract_tracked(&tw, None);
-        assert_eq!(batch.len(), tracked.len());
-        for (i, (b, t)) in batch.iter().zip(&tracked).enumerate() {
-            assert!(
-                (b - t).abs() <= 1e-9 * (1.0 + b.abs()),
-                "dim {i}: batch {b} vs tracked {t}"
-            );
-        }
-    }
-
-    fn filled_windows(
-        rng: &mut Xoshiro256pp,
-        w: usize,
-        delay: usize,
-        d: usize,
-        steps: usize,
-        bins: usize,
-    ) -> ficsum_stream::FrameWindows {
-        let mut fw = ficsum_stream::FrameWindows::new(w, delay, d);
-        fw.enable_stats(bins);
-        for _ in 0..steps {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), rng.random_range(0..2usize));
-        }
-        fw
-    }
-
-    #[test]
-    fn incremental_stats_match_batch_closely() {
-        let mut rng = Xoshiro256pp::seed_from_u64(41);
-        let d = 3;
-        let ex = FingerprintExtractor::full(d);
-        let mut fast = FingerprintEngine::new(ex.clone()).with_incremental_stats(true);
-        let mut batch = FingerprintEngine::new(ex);
         let tree = trained_tree(&mut rng, d);
-        let mut fw = ficsum_stream::FrameWindows::new(50, 10, d);
-        fw.enable_stats(8);
-        let mut out_fast = Vec::new();
-        let mut out_batch = Vec::new();
-        for step in 0..220 {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), rng.random_range(0..2usize));
-            if step % 13 != 0 || step < 5 {
+        let mut fw = ficsum_stream::FrameWindows::new(w, delay, d);
+        let (mut from_view, mut compared_stale) = (Vec::new(), 0);
+        for (step, o) in window(&mut rng, 200, d, 2).into_iter().enumerate() {
+            fw.push(o.features(), o.label(), o.prediction);
+            if step == 90 {
+                fw.clear_buffer();
+                assert_eq!(fw.stale_len(), 0);
+            }
+            if step % 11 != 0 {
                 continue;
             }
-            for tag in 0..2 {
-                let (tracked, view) = if tag == 0 {
-                    (fw.a_tracked(), fw.a_view())
-                } else {
-                    if fw.stale_len() == 0 {
-                        continue;
-                    }
-                    (fw.stale_tracked(), fw.stale_view())
-                };
-                fast.extract_tracked_frames_repredicted_into(&tracked, &tree, &mut out_fast);
-                batch.extract_frames_repredicted_into(&view, &tree, &mut out_batch);
-                assert_eq!(out_fast.len(), out_batch.len());
-                for (i, (t, b)) in out_fast.iter().zip(&out_batch).enumerate() {
-                    assert!(
-                        (t - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                        "step {step} tag {tag} dim {i}: batch {b} vs incremental {t}"
-                    );
+            for view in [fw.a_view(), fw.stale_view()] {
+                if view.is_empty() {
+                    continue;
                 }
-                let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
-                // The substituted MI / turning-point dims and the cached
-                // (stride-1) EMD dims must be bit-identical, per source.
-                for s in 0..(d + 4) {
-                    for f in [8usize, 9, 10, 11] {
-                        assert_eq!(
-                            out_fast[s * nf + f].to_bits(),
-                            out_batch[s * nf + f].to_bits(),
-                            "step {step} tag {tag} source {s} fn {f}"
-                        );
-                    }
-                }
+                let rows: Vec<LabeledObservation> = (0..view.len())
+                    .map(|i| {
+                        LabeledObservation::new(
+                            view.features(i).to_vec(),
+                            view.label(i),
+                            view.prediction(i),
+                        )
+                    })
+                    .collect();
+                engine.extract_frames_into(&view, Some(&tree), &mut from_view);
+                assert_eq!(from_view, engine.extract(&rows, Some(&tree)), "step {step}");
+                engine.extract_frames_repredicted_into(&view, &tree, &mut from_view);
+                assert_eq!(from_view, engine.extract_repredicted(&rows, &tree), "step {step}");
             }
+            compared_stale += (step > 90 && fw.stale_len() > 0) as usize;
         }
-    }
-
-    #[test]
-    fn incremental_stats_cover_prediction_sources_without_reprediction() {
-        // Non-repredicting extraction keeps the push-time prediction
-        // sequence, so the prediction and error sources substitute from
-        // their stat banks too — within the same tolerance contract.
-        let mut rng = Xoshiro256pp::seed_from_u64(44);
-        let d = 3;
-        let ex = FingerprintExtractor::full(d);
-        let mut fast = FingerprintEngine::new(ex.clone()).with_incremental_stats(true);
-        let mut batch = FingerprintEngine::new(ex);
-        let mut fw = ficsum_stream::FrameWindows::new(50, 10, d);
-        fw.enable_stats(8);
-        let mut out_fast = Vec::new();
-        let mut out_batch = Vec::new();
-        for step in 0..220 {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), rng.random_range(0..2usize));
-            if step % 17 != 0 || step < 5 {
-                continue;
-            }
-            fast.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out_fast);
-            batch.extract_frames_into(&fw.a_view(), None, &mut out_batch);
-            assert_eq!(out_fast.len(), out_batch.len());
-            for (i, (t, b)) in out_fast.iter().zip(&out_batch).enumerate() {
-                assert!(
-                    (t - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "step {step} dim {i}: batch {b} vs incremental {t}"
-                );
-            }
-            let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
-            for s in 0..(d + 4) {
-                for f in [8usize, 9, 10, 11] {
-                    assert_eq!(
-                        out_fast[s * nf + f].to_bits(),
-                        out_batch[s * nf + f].to_bits(),
-                        "step {step} source {s} fn {f}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_stats_parallel_matches_sequential() {
-        let mut rng = Xoshiro256pp::seed_from_u64(42);
-        let d = 4;
-        let ex = FingerprintExtractor::full(d);
-        let mut seq_engine =
-            FingerprintEngine::new(ex.clone()).with_incremental_stats(true).with_emd_stride(3);
-        let mut par_engine =
-            FingerprintEngine::new(ex).with_incremental_stats(true).with_emd_stride(3).with_threads(3);
-        let mut fw = filled_windows(&mut rng, 40, 5, d, 60, 8);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for _ in 0..10 {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), 0);
-            seq_engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut a);
-            par_engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut b);
-            assert_eq!(a, b, "cache decisions must be scheduling-independent");
-        }
-    }
-
-    #[test]
-    fn emd_stride_reuses_then_refreshes() {
-        let mut rng = Xoshiro256pp::seed_from_u64(43);
-        let d = 2;
-        let stride = 3u32;
-        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d))
-            .with_incremental_stats(true)
-            .with_emd_stride(stride);
-        assert_eq!(engine.emd_stride(), stride);
-        let mut batch = FingerprintEngine::new(FingerprintExtractor::full(d));
-        let mut fw = filled_windows(&mut rng, 30, 0, d, 40, 8);
-        let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
-        let emd_dims: Vec<usize> =
-            (0..d + 4).flat_map(|s| [s * nf + 10, s * nf + 11]).collect();
-        let mut out = Vec::new();
-        engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out);
-        let first = out.clone();
-        let mut refreshed = false;
-        for round in 1..=(stride as usize) {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), 0);
-            engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out);
-            let fresh = batch.extract(&{
-                let mut block = ficsum_stream::FrameBlock::new();
-                block.copy_from(&fw.a_view());
-                (0..block.len())
-                    .map(|i| LabeledObservation::new(
-                        block.features(i).to_vec(),
-                        block.label(i),
-                        block.prediction(i),
-                    ))
-                    .collect::<Vec<_>>()
-            }, None);
-            let stale = emd_dims.iter().all(|&i| out[i].to_bits() == first[i].to_bits());
-            let exact = emd_dims.iter().all(|&i| out[i].to_bits() == fresh[i].to_bits());
-            if round < stride as usize {
-                assert!(stale, "round {round}: within budget, entropies must be reused");
-            } else {
-                assert!(exact, "round {round}: stride exhausted, entropies must refresh");
-                refreshed = true;
-            }
-            // Non-EMD dims always track the live window.
-            assert!(
-                out.iter().zip(&fresh).enumerate().all(|(i, (a, b))| {
-                    emd_dims.contains(&i) || (a - b).abs() <= 1e-9 * (1.0 + b.abs())
-                }),
-                "round {round}: substituted stats must track the window"
-            );
-        }
-        assert!(refreshed);
-        engine.invalidate_emd_cache();
-        engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out);
-        // After invalidation the very next extraction re-sifts.
-        let contents: Vec<LabeledObservation> = (0..fw.a_len())
-            .map(|i| {
-                let v = fw.a_view();
-                LabeledObservation::new(v.features(i).to_vec(), v.label(i), v.prediction(i))
-            })
-            .collect();
-        let fresh = batch.extract(&contents, None);
-        for &i in &emd_dims {
-            assert_eq!(out[i].to_bits(), fresh[i].to_bits(), "dim {i} after invalidate");
-        }
+        assert!(compared_stale > 0, "the restarted stale window must be compared");
     }
 
     #[test]

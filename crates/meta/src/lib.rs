@@ -29,7 +29,6 @@ pub mod emd;
 pub mod engine;
 pub mod extractor;
 pub mod functions;
-mod incremental;
 pub mod mutual_info;
 pub mod sources;
 pub mod spline;

@@ -11,17 +11,13 @@
 //! [`FrameStore`] keeps exactly those frames once, as three parallel
 //! columns (a flat row-major `f64` feature arena, labels, predictions) in a
 //! fixed ring. [`FrameWindows`] layers the two windows of Algorithm 1 over
-//! it as *views by age* and maintains the incremental feature/label
-//! [`Moments`] the fingerprint engine's tracked mode consumes.
+//! it as *views by age*; pushing a frame is one ring write.
 //! [`FrameSource`] is the read interface shared by ring views, owned
 //! [`FrameBlock`] snapshots and plain `[LabeledObservation]` slices, so
 //! extraction code is written once and runs allocation-free over any of
 //! them.
 
 use crate::observation::LabeledObservation;
-use crate::stats::Moments;
-use crate::window::TrackedWindow;
-use crate::winstats::SeqStats;
 
 /// Read access to a window of frames, index `0` = oldest, `len - 1` =
 /// newest — the iteration order every extraction pass uses.
@@ -47,51 +43,6 @@ pub trait FrameSource {
     }
 }
 
-/// Incrementally maintained moment accumulators accompanying a frame
-/// window, substituted for the batch moment sweep by the engine's
-/// incremental-moments mode.
-pub trait MomentSource {
-    /// Number of tracked feature dimensions.
-    fn n_feature_moments(&self) -> usize;
-
-    /// Moment accumulator for feature dimension `j`.
-    fn feature_moments(&self, j: usize) -> &Moments;
-
-    /// Moment accumulator for the label sequence.
-    fn label_moments(&self) -> &Moments;
-}
-
-/// Incrementally maintained per-sequence statistics accompanying a frame
-/// window — the state behind the engine's incremental-statistics mode,
-/// which substitutes O(1) lookups for the batch ACF/PACF/MI/turning-point
-/// sweeps. Sources that do not maintain the state return `None` and the
-/// engine falls back to the batch sweep for them.
-pub trait StatSource {
-    /// Sequence statistics for feature dimension `j`, when maintained and
-    /// currently valid for substitution.
-    fn feature_stats(&self, j: usize) -> Option<&SeqStats>;
-
-    /// Sequence statistics for the label sequence, when maintained.
-    fn label_stats(&self) -> Option<&SeqStats>;
-
-    /// Moments and sequence statistics for the prediction sequence, when
-    /// maintained. Predictions (and errors) have no standalone moment
-    /// accumulator outside the stat bank, so the pair travels together.
-    fn prediction_track(&self) -> Option<(&Moments, &SeqStats)> {
-        None
-    }
-
-    /// Moments and sequence statistics for the error-indicator sequence
-    /// (`prediction != label` as 0/1), when maintained.
-    fn error_track(&self) -> Option<(&Moments, &SeqStats)> {
-        None
-    }
-
-    /// Which window of Algorithm 1 this source exposes (0 = active `A`,
-    /// 1 = stale `B`) — keys the engine's per-window result caches.
-    fn window_tag(&self) -> usize;
-}
-
 impl FrameSource for [LabeledObservation] {
     fn len(&self) -> usize {
         <[LabeledObservation]>::len(self)
@@ -111,56 +62,6 @@ impl FrameSource for [LabeledObservation] {
 
     fn prediction(&self, i: usize) -> usize {
         self[i].prediction
-    }
-}
-
-impl FrameSource for TrackedWindow {
-    fn len(&self) -> usize {
-        TrackedWindow::len(self)
-    }
-
-    fn dims(&self) -> usize {
-        self.n_features()
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        self.get(i).features()
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self.get(i).label()
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.get(i).prediction
-    }
-}
-
-impl MomentSource for TrackedWindow {
-    fn n_feature_moments(&self) -> usize {
-        self.n_features()
-    }
-
-    fn feature_moments(&self, j: usize) -> &Moments {
-        TrackedWindow::feature_moments(self, j)
-    }
-
-    fn label_moments(&self) -> &Moments {
-        TrackedWindow::label_moments(self)
-    }
-}
-
-impl StatSource for TrackedWindow {
-    fn feature_stats(&self, _j: usize) -> Option<&SeqStats> {
-        None
-    }
-
-    fn label_stats(&self) -> Option<&SeqStats> {
-        None
-    }
-
-    fn window_tag(&self) -> usize {
-        0
     }
 }
 
@@ -363,123 +264,6 @@ impl FrameSource for FrameBlock {
     }
 }
 
-/// A frame view paired with its window's incremental moments (and, when
-/// enabled, its incremental sequence statistics) — what the engine's
-/// tracked extraction entry points consume.
-#[derive(Debug, Clone, Copy)]
-pub struct TrackedFrames<'a> {
-    view: FrameView<'a>,
-    feat: &'a [Moments],
-    label: &'a Moments,
-    stats: Option<&'a StatBank>,
-    tag: usize,
-}
-
-impl FrameSource for TrackedFrames<'_> {
-    fn len(&self) -> usize {
-        self.view.len()
-    }
-
-    fn dims(&self) -> usize {
-        self.view.dims()
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        self.view.features(i)
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self.view.label(i)
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.view.prediction(i)
-    }
-}
-
-impl MomentSource for TrackedFrames<'_> {
-    fn n_feature_moments(&self) -> usize {
-        self.feat.len()
-    }
-
-    fn feature_moments(&self, j: usize) -> &Moments {
-        &self.feat[j]
-    }
-
-    fn label_moments(&self) -> &Moments {
-        self.label
-    }
-}
-
-impl StatSource for TrackedFrames<'_> {
-    fn feature_stats(&self, j: usize) -> Option<&SeqStats> {
-        self.stats.map(|b| &b.feat[j])
-    }
-
-    fn label_stats(&self) -> Option<&SeqStats> {
-        self.stats.map(|b| &b.label)
-    }
-
-    fn prediction_track(&self) -> Option<(&Moments, &SeqStats)> {
-        self.stats.map(|b| (&b.pred_m, &b.pred))
-    }
-
-    fn error_track(&self) -> Option<(&Moments, &SeqStats)> {
-        self.stats.map(|b| (&b.err_m, &b.err))
-    }
-
-    fn window_tag(&self) -> usize {
-        self.tag
-    }
-}
-
-/// One window's bank of incremental sequence statistics: one [`SeqStats`]
-/// per feature dimension plus one each for the label, prediction and
-/// error-indicator sequences. Predictions and errors also carry their own
-/// [`Moments`] here — unlike features and labels, those sequences have no
-/// moment accumulator elsewhere in [`FrameWindows`].
-#[derive(Debug, Clone)]
-pub struct StatBank {
-    feat: Vec<SeqStats>,
-    label: SeqStats,
-    pred: SeqStats,
-    pred_m: Moments,
-    err: SeqStats,
-    err_m: Moments,
-}
-
-impl StatBank {
-    fn new(dims: usize, bins: usize) -> Self {
-        Self {
-            feat: vec![SeqStats::new(bins); dims],
-            label: SeqStats::new(bins),
-            pred: SeqStats::new(bins),
-            pred_m: Moments::new(),
-            err: SeqStats::new(bins),
-            err_m: Moments::new(),
-        }
-    }
-
-    fn reset(&mut self) {
-        for s in &mut self.feat {
-            s.reset();
-        }
-        self.label.reset();
-        self.pred.reset();
-        self.pred_m.reset();
-        self.err.reset();
-        self.err_m.reset();
-    }
-}
-
-/// Both windows' stat banks, boxed so disabled pipelines pay one pointer.
-#[derive(Debug, Clone)]
-struct WindowStats {
-    bins: usize,
-    a: StatBank,
-    s: StatBank,
-}
-
 /// Algorithm 1's two windows as views over one shared [`FrameStore`].
 ///
 /// * the active window `A` — the `w` newest frames (ages `[0, w)`),
@@ -488,12 +272,12 @@ struct WindowStats {
 /// * the holding buffer — the `≤ b` newest frames not yet graduated.
 ///
 /// The windows share one arena of `b + w` rows; pushing a frame is one
-/// ring write plus O(d) moment updates, with no per-observation
-/// allocation. `A` and `B` keep the same membership, iteration order,
-/// eviction schedule and moment-rebuild cadence as the legacy
-/// [`TrackedWindow`] / [`crate::window::BufferedWindow`] pair; clearing
-/// the buffer after a drift is a logical restart (frames pushed before
-/// the clear never graduate), exactly like clearing the legacy buffer.
+/// ring write, with no per-observation allocation. `A` and `B` keep the
+/// same membership, iteration order and eviction schedule as the
+/// owned-observation [`crate::window::SlidingWindow`] /
+/// [`crate::window::BufferedWindow`] pair; clearing the buffer after a
+/// drift is a logical restart (frames pushed before the clear never
+/// graduate), exactly like clearing the owned buffer.
 #[derive(Debug, Clone)]
 pub struct FrameWindows {
     store: FrameStore,
@@ -502,13 +286,6 @@ pub struct FrameWindows {
     /// `pushed` count at the last buffer clear; frames older than this
     /// never graduate into the stale window.
     s_start: u64,
-    a_feat: Vec<Moments>,
-    a_label: Moments,
-    a_evictions: usize,
-    s_feat: Vec<Moments>,
-    s_label: Moments,
-    s_evictions: usize,
-    stats: Option<Box<WindowStats>>,
 }
 
 impl FrameWindows {
@@ -516,19 +293,7 @@ impl FrameWindows {
     /// frames, over `dims`-dimensional observations.
     pub fn new(window: usize, delay: usize, dims: usize) -> Self {
         assert!(window > 0, "window capacity must be positive");
-        Self {
-            store: FrameStore::new(window + delay, dims),
-            window,
-            delay,
-            s_start: 0,
-            a_feat: vec![Moments::new(); dims],
-            a_label: Moments::new(),
-            a_evictions: 0,
-            s_feat: vec![Moments::new(); dims],
-            s_label: Moments::new(),
-            s_evictions: 0,
-            stats: None,
-        }
+        Self { store: FrameStore::new(window + delay, dims), window, delay, s_start: 0 }
     }
 
     /// Configured window size `w`.
@@ -573,248 +338,17 @@ impl FrameWindows {
         &self.store
     }
 
-    /// Pushes one frame into the shared arena, updating both windows'
-    /// membership and moments. Ring reads of outgoing frames happen before
-    /// the slot overwrite; moment edit order (admit new, then retire
-    /// outgoing) matches [`TrackedWindow::push`].
+    /// Pushes one frame into the shared arena; both windows' membership
+    /// follows from the frame ages.
     pub fn push(&mut self, x: &[f64], label: usize, prediction: usize) {
-        let (w, b) = (self.window, self.delay);
-        let n_a = self.a_len();
-        let s_len = self.stale_len();
-        let graduates = self.store.pushed - self.s_start >= b as u64;
-
-        for (m, &v) in self.a_feat.iter_mut().zip(x) {
-            m.push(v);
-        }
-        self.a_label.push(label as f64);
-        if n_a == w {
-            let out = self.store.features_at_age(w - 1);
-            for (m, &v) in self.a_feat.iter_mut().zip(out) {
-                m.remove(v);
-            }
-            self.a_label.remove(self.store.label_at_age(w - 1) as f64);
-            self.a_evictions += 1;
-        }
-
-        if graduates {
-            // The frame crossing age `b` enters the stale window; with a
-            // zero delay that is the incoming frame itself.
-            if b == 0 {
-                for (m, &v) in self.s_feat.iter_mut().zip(x) {
-                    m.push(v);
-                }
-                self.s_label.push(label as f64);
-            } else {
-                let g = self.store.features_at_age(b - 1);
-                for (m, &v) in self.s_feat.iter_mut().zip(g) {
-                    m.push(v);
-                }
-                self.s_label.push(self.store.label_at_age(b - 1) as f64);
-            }
-            if s_len == w {
-                let out = self.store.features_at_age(b + w - 1);
-                for (m, &v) in self.s_feat.iter_mut().zip(out) {
-                    m.remove(v);
-                }
-                self.s_label.remove(self.store.label_at_age(b + w - 1) as f64);
-                self.s_evictions += 1;
-            }
-        }
-
-        if self.stats.is_some() {
-            self.step_stats(x, label, prediction, n_a, s_len, graduates);
-        }
-
         self.store.push(x, label, prediction);
-
-        if self.a_evictions >= TrackedWindow::REBUILD_INTERVAL {
-            self.rebuild_a();
-        }
-        if self.s_evictions >= TrackedWindow::REBUILD_INTERVAL {
-            self.rebuild_s();
-        }
-        if self.stats.is_some() {
-            self.refresh_stats();
-        }
-    }
-
-    /// Enables incremental per-sequence statistics over both windows with
-    /// a `bins x bins` mutual-information histogram, building the state
-    /// from the frames already resident.
-    ///
-    /// Idempotent when already enabled with the same `bins`: the
-    /// continuously-maintained state is kept untouched, which
-    /// checkpoint-restore relies on (rebuilding would perturb the
-    /// cross-sums' accumulation order and break bit-identical replay).
-    pub fn enable_stats(&mut self, bins: usize) {
-        assert!(bins >= 2, "mutual-information histogram needs at least 2 bins");
-        if let Some(ws) = &self.stats {
-            if ws.bins == bins {
-                return;
-            }
-        }
-        let dims = self.store.dims();
-        let mut ws = Box::new(WindowStats {
-            bins,
-            a: StatBank::new(dims, bins),
-            s: StatBank::new(dims, bins),
-        });
-        rebuild_bank(&self.store, 0, self.a_len(), &mut ws.a);
-        rebuild_bank(&self.store, self.delay, self.stale_len(), &mut ws.s);
-        self.stats = Some(ws);
-    }
-
-    /// Drops the incremental sequence statistics; tracked views fall back
-    /// to reporting no stats and consumers use the batch sweeps.
-    pub fn disable_stats(&mut self) {
-        self.stats = None;
-    }
-
-    /// Histogram resolution of the enabled stat banks, `None` when off.
-    pub fn stats_bins(&self) -> Option<usize> {
-        self.stats.as_deref().map(|ws| ws.bins)
-    }
-
-    /// O(1) stat-bank maintenance for one incoming frame. Ring reads use
-    /// pre-push ages: the caller runs this before the slot overwrite, so
-    /// the outgoing rows are still readable. The neighbour plumbing
-    /// mirrors the membership rules of [`FrameWindows::push`] exactly:
-    /// for the active window the post-append sequence is
-    /// `[x_0 .. x_{w-1}, v]`, so for tiny windows the evicted value's
-    /// successors fall back to the incoming value itself.
-    fn step_stats(
-        &mut self,
-        x: &[f64],
-        label: usize,
-        prediction: usize,
-        n_a: usize,
-        s_len: usize,
-        graduates: bool,
-    ) {
-        let (w, b) = (self.window, self.delay);
-        let ws = self.stats.as_deref_mut().expect("caller checked stats are enabled");
-        let store = &self.store;
-
-        // Active window A: the incoming frame enters, age w-1 leaves.
-        {
-            let p1 = (n_a >= 1).then(|| store.features_at_age(0));
-            let p2 = (n_a >= 2).then(|| store.features_at_age(1));
-            let ev = (n_a == w).then(|| {
-                (
-                    store.features_at_age(w - 1),
-                    (w >= 2).then(|| store.features_at_age(w - 2)),
-                    (w >= 3).then(|| store.features_at_age(w - 3)),
-                )
-            });
-            for (j, s) in ws.a.feat.iter_mut().enumerate() {
-                let v = x[j];
-                let evict = ev.map(|(x0, x1, x2)| {
-                    let x1 = x1.map_or(Some(v), |r| Some(r[j]));
-                    let x2 = x2.map(|r| r[j]).or((w == 2).then_some(v));
-                    (x0[j], x1, x2)
-                });
-                s.step(v, p1.map(|r| r[j]), p2.map(|r| r[j]), evict);
-            }
-            let v = label as f64;
-            let evict = (n_a == w).then(|| {
-                let x1 =
-                    if w >= 2 { Some(store.label_at_age(w - 2) as f64) } else { Some(v) };
-                let x2 = if w >= 3 {
-                    Some(store.label_at_age(w - 3) as f64)
-                } else {
-                    (w == 2).then_some(v)
-                };
-                (store.label_at_age(w - 1) as f64, x1, x2)
-            });
-            ws.a.label.step(
-                v,
-                (n_a >= 1).then(|| store.label_at_age(0) as f64),
-                (n_a >= 2).then(|| store.label_at_age(1) as f64),
-                evict,
-            );
-            step_scalar(&mut ws.a.pred, &mut ws.a.pred_m, prediction as f64, 0, n_a, w, |age| {
-                store.prediction_at_age(age) as f64
-            });
-            let e = err_value(prediction, label);
-            step_scalar(&mut ws.a.err, &mut ws.a.err_m, e, 0, n_a, w, |age| err_at(store, age));
-        }
-
-        // Stale window B: the graduating frame enters (the incoming frame
-        // itself when the delay is zero), age b + w - 1 leaves.
-        if graduates {
-            let gfeat = (b > 0).then(|| store.features_at_age(b - 1));
-            let p1 = (s_len >= 1).then(|| store.features_at_age(b));
-            let p2 = (s_len >= 2).then(|| store.features_at_age(b + 1));
-            let ev = (s_len == w).then(|| {
-                (
-                    store.features_at_age(b + w - 1),
-                    (w >= 2).then(|| store.features_at_age(b + w - 2)),
-                    (w >= 3).then(|| store.features_at_age(b + w - 3)),
-                )
-            });
-            for (j, s) in ws.s.feat.iter_mut().enumerate() {
-                let g = gfeat.map_or(x[j], |r| r[j]);
-                let evict = ev.map(|(x0, x1, x2)| {
-                    let x1 = x1.map_or(Some(g), |r| Some(r[j]));
-                    let x2 = x2.map(|r| r[j]).or((w == 2).then_some(g));
-                    (x0[j], x1, x2)
-                });
-                s.step(g, p1.map(|r| r[j]), p2.map(|r| r[j]), evict);
-            }
-            let g = if b == 0 { label as f64 } else { store.label_at_age(b - 1) as f64 };
-            let evict = (s_len == w).then(|| {
-                let x1 = if w >= 2 {
-                    Some(store.label_at_age(b + w - 2) as f64)
-                } else {
-                    Some(g)
-                };
-                let x2 = if w >= 3 {
-                    Some(store.label_at_age(b + w - 3) as f64)
-                } else {
-                    (w == 2).then_some(g)
-                };
-                (store.label_at_age(b + w - 1) as f64, x1, x2)
-            });
-            ws.s.label.step(
-                g,
-                (s_len >= 1).then(|| store.label_at_age(b) as f64),
-                (s_len >= 2).then(|| store.label_at_age(b + 1) as f64),
-                evict,
-            );
-            let gp = if b == 0 { prediction as f64 } else { store.prediction_at_age(b - 1) as f64 };
-            step_scalar(&mut ws.s.pred, &mut ws.s.pred_m, gp, b, s_len, w, |age| {
-                store.prediction_at_age(age) as f64
-            });
-            let ge = if b == 0 { err_value(prediction, label) } else { err_at(store, b - 1) };
-            step_scalar(&mut ws.s.err, &mut ws.s.err_m, ge, b, s_len, w, |age| err_at(store, age));
-        }
-    }
-
-    /// Post-push pass: rebuilds any stat that requested it (histogram
-    /// edge moved, non-finite values just left the window) and resummates
-    /// any whose shift reference drifted too far from the window mean.
-    fn refresh_stats(&mut self) {
-        let a_len = self.a_len();
-        let s_len = self.stale_len();
-        let delay = self.delay;
-        let Some(ws) = self.stats.as_deref_mut() else { return };
-        refresh_bank(&self.store, 0, a_len, &mut ws.a, &self.a_feat, &self.a_label);
-        refresh_bank(&self.store, delay, s_len, &mut ws.s, &self.s_feat, &self.s_label);
     }
 
     /// Logically empties the delay buffer and stale window (the ring keeps
     /// its frames; they simply never graduate). The active window is
-    /// untouched, mirroring the legacy post-drift `buffer.clear()`.
+    /// untouched, mirroring the owned post-drift `buffer.clear()`.
     pub fn clear_buffer(&mut self) {
         self.s_start = self.store.pushed;
-        for m in &mut self.s_feat {
-            m.reset();
-        }
-        self.s_label.reset();
-        self.s_evictions = 0;
-        if let Some(ws) = self.stats.as_deref_mut() {
-            ws.s.reset();
-        }
     }
 
     /// View over the active window `A`, oldest first.
@@ -825,167 +359,6 @@ impl FrameWindows {
     /// View over the stale window `B`, oldest first.
     pub fn stale_view(&self) -> FrameView<'_> {
         self.store.view(self.delay, self.stale_len())
-    }
-
-    /// The active window paired with its incremental moments.
-    pub fn a_tracked(&self) -> TrackedFrames<'_> {
-        TrackedFrames {
-            view: self.a_view(),
-            feat: &self.a_feat,
-            label: &self.a_label,
-            stats: self.stats.as_deref().map(|ws| &ws.a),
-            tag: 0,
-        }
-    }
-
-    /// The stale window paired with its incremental moments.
-    pub fn stale_tracked(&self) -> TrackedFrames<'_> {
-        TrackedFrames {
-            view: self.stale_view(),
-            feat: &self.s_feat,
-            label: &self.s_label,
-            stats: self.stats.as_deref().map(|ws| &ws.s),
-            tag: 1,
-        }
-    }
-
-    fn rebuild_a(&mut self) {
-        for m in &mut self.a_feat {
-            m.reset();
-        }
-        self.a_label.reset();
-        let len = self.a_len();
-        let view = self.store.view(0, len);
-        for i in 0..view.len() {
-            for (m, &v) in self.a_feat.iter_mut().zip(view.features(i)) {
-                m.push(v);
-            }
-            self.a_label.push(view.label(i) as f64);
-        }
-        self.a_evictions = 0;
-        // Scheduled resummation of the stat bank rides the same cadence,
-        // refreshing the cross-sums' shift reference to the current mean.
-        if let Some(ws) = self.stats.as_deref_mut() {
-            rebuild_bank(&self.store, 0, len, &mut ws.a);
-        }
-    }
-
-    fn rebuild_s(&mut self) {
-        for m in &mut self.s_feat {
-            m.reset();
-        }
-        self.s_label.reset();
-        let len = self.stale_len();
-        let view = self.store.view(self.delay, len);
-        for i in 0..view.len() {
-            for (m, &v) in self.s_feat.iter_mut().zip(view.features(i)) {
-                m.push(v);
-            }
-            self.s_label.push(view.label(i) as f64);
-        }
-        self.s_evictions = 0;
-        if let Some(ws) = self.stats.as_deref_mut() {
-            rebuild_bank(&self.store, self.delay, len, &mut ws.s);
-        }
-    }
-}
-
-/// The error-indicator value of one frame (`prediction != label` as 0/1),
-/// matching the batch `Errors` behaviour-source sequence.
-fn err_value(prediction: usize, label: usize) -> f64 {
-    if prediction != label {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Error indicator of the frame `age` pushes ago.
-fn err_at(store: &FrameStore, age: usize) -> f64 {
-    err_value(store.prediction_at_age(age), store.label_at_age(age))
-}
-
-/// Steps one scalar sequence's stats *and* moments for a window admitting
-/// `v` (with eviction once at capacity), applying the same tiny-window
-/// neighbour fallbacks as the feature/label stepping above. `get` reads
-/// the sequence value of the frame at an absolute pre-push ring age;
-/// `base` is the window's newest age (0 for `A`, the delay for `B`) and
-/// `n` its length before this admit.
-fn step_scalar(
-    s: &mut SeqStats,
-    m: &mut Moments,
-    v: f64,
-    base: usize,
-    n: usize,
-    w: usize,
-    get: impl Fn(usize) -> f64,
-) {
-    m.push(v);
-    if n == w {
-        m.remove(get(base + w - 1));
-    }
-    let evict = (n == w).then(|| {
-        let x1 = if w >= 2 { Some(get(base + w - 2)) } else { Some(v) };
-        let x2 = if w >= 3 { Some(get(base + w - 3)) } else { (w == 2).then_some(v) };
-        (get(base + w - 1), x1, x2)
-    });
-    s.step(v, (n >= 1).then(|| get(base)), (n >= 2).then(|| get(base + 1)), evict);
-}
-
-/// Exact rebuild of every stat in `bank` from the window with the given
-/// ring coordinates.
-fn rebuild_bank(store: &FrameStore, newest_age: usize, len: usize, bank: &mut StatBank) {
-    for (j, s) in bank.feat.iter_mut().enumerate() {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| view.features(i)[j]);
-    }
-    let view = store.view(newest_age, len);
-    bank.label.rebuild(len, |i| view.label(i) as f64);
-    bank.pred.rebuild(len, |i| view.prediction(i) as f64);
-    bank.pred_m.reset();
-    for i in 0..len {
-        bank.pred_m.push(view.prediction(i) as f64);
-    }
-    bank.err.rebuild(len, |i| err_value(view.prediction(i), view.label(i)));
-    bank.err_m.reset();
-    for i in 0..len {
-        bank.err_m.push(err_value(view.prediction(i), view.label(i)));
-    }
-}
-
-/// Rebuilds the stats in `bank` that request it and resummates those whose
-/// shift reference drifted ≥ 16 sigma from the window mean (see
-/// [`SeqStats::shift_drifted`]).
-fn refresh_bank(
-    store: &FrameStore,
-    newest_age: usize,
-    len: usize,
-    bank: &mut StatBank,
-    feat_moments: &[Moments],
-    label_moments: &Moments,
-) {
-    for (j, s) in bank.feat.iter_mut().enumerate() {
-        let m = &feat_moments[j];
-        if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-            let view = store.view(newest_age, len);
-            s.rebuild(len, |i| view.features(i)[j]);
-        }
-    }
-    let m = label_moments;
-    let s = &mut bank.label;
-    if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| view.label(i) as f64);
-    }
-    let (m, s) = (&bank.pred_m, &mut bank.pred);
-    if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| view.prediction(i) as f64);
-    }
-    let (m, s) = (&bank.err_m, &mut bank.err);
-    if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| err_value(view.prediction(i), view.label(i)));
     }
 }
 
@@ -998,14 +371,14 @@ mod tests {
         (vec![i as f64, (i as f64 * 0.7).sin()], i % 3, (i + 1) % 3)
     }
 
-    /// Reference pair of legacy windows driven in lockstep with
+    /// Reference pair of owned-observation windows driven in lockstep with
     /// `FrameWindows`; membership and order must agree at every step.
     #[test]
     fn views_match_legacy_windows_exactly() {
         let (w, b, d) = (5, 3, 2);
         let mut frames = FrameWindows::new(w, b, d);
         let mut legacy_a = SlidingWindow::new(w);
-        let mut legacy_b = BufferedWindow::new(b, w, d);
+        let mut legacy_b = BufferedWindow::new(b, w);
         for i in 0..40 {
             let (x, y, p) = obs(i);
             let lo = LabeledObservation::new(x.clone(), y, p);
@@ -1034,41 +407,6 @@ mod tests {
             }
             assert_eq!(frames.a_is_full(), legacy_a.is_full());
             assert_eq!(frames.stale_is_full(), legacy_b.stale().is_full());
-        }
-    }
-
-    #[test]
-    fn moments_match_tracked_windows() {
-        let (w, b, d) = (6, 4, 2);
-        let mut frames = FrameWindows::new(w, b, d);
-        let mut legacy_a = TrackedWindow::new(w, d);
-        let mut legacy_b = BufferedWindow::new(b, w, d);
-        for i in 0..60 {
-            let (x, y, p) = obs(i);
-            legacy_a.push(LabeledObservation::new(x.clone(), y, p));
-            legacy_b.push(LabeledObservation::new(x.clone(), y, p));
-            frames.push(&x, y, p);
-            let ta = frames.a_tracked();
-            let ts = frames.stale_tracked();
-            for j in 0..d {
-                assert_eq!(
-                    ta.feature_moments(j).mean(),
-                    legacy_a.feature_moments(j).mean(),
-                    "step {i} A dim {j}"
-                );
-                assert_eq!(
-                    ts.feature_moments(j).count(),
-                    legacy_b.stale().feature_moments(j).count(),
-                    "step {i} B dim {j}"
-                );
-                assert_eq!(
-                    ts.feature_moments(j).mean(),
-                    legacy_b.stale().feature_moments(j).mean(),
-                    "step {i} B dim {j}"
-                );
-            }
-            assert_eq!(ta.label_moments().mean(), legacy_a.label_moments().mean());
-            assert_eq!(ts.label_moments().mean(), legacy_b.stale().label_moments().mean());
         }
     }
 
@@ -1114,105 +452,5 @@ mod tests {
         assert_eq!(src.features(2), &[2.0]);
         assert_eq!(FrameSource::label(src, 3), 1);
         assert_eq!(src.prediction(0), 1);
-    }
-
-    /// Re-centers a maintained cross-sum around the exact window mean —
-    /// the same correction the engine applies at evaluation time.
-    fn centered_num(s: &SeqStats, view: &FrameView<'_>, dim: usize, lag: usize) -> f64 {
-        let n = view.len();
-        let get = |i: usize| view.features(i)[dim];
-        let mean = (0..n).map(get).sum::<f64>() / n as f64;
-        let k = s.shift();
-        let d = mean - k;
-        let head: f64 = (0..lag.min(n)).map(|i| get(i) - k).sum();
-        let tail: f64 = (n.saturating_sub(lag)..n).map(|i| get(i) - k).sum();
-        s.cross_sum(lag) - d * (2.0 * n as f64 * d - head - tail) + (n - lag) as f64 * d * d
-    }
-
-    /// The continuously maintained banks must agree with a from-scratch
-    /// rebuild at every step — this exercises the neighbour plumbing in
-    /// `step_stats` (ring ages, graduation, tiny-window fallbacks) that
-    /// the `winstats` unit tests cannot see.
-    #[test]
-    fn stat_banks_match_fresh_rebuilds_every_step() {
-        use crate::rng::{RandomSource, Xoshiro256pp};
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        for &(w, b) in &[(1usize, 0usize), (2, 1), (3, 2), (6, 4), (8, 0)] {
-            let d = 2;
-            let mut frames = FrameWindows::new(w, b, d);
-            frames.enable_stats(4);
-            for i in 0..300 {
-                let x = vec![rng.random_range(-3.0..3.0), rng.random_range(0.0..1.0)];
-                let y = rng.random_range(0..3usize);
-                frames.push(&x, y, 0);
-                if i == 140 {
-                    frames.clear_buffer();
-                }
-                for (tracked, view, len) in [
-                    (frames.a_tracked(), frames.a_view(), frames.a_len()),
-                    (frames.stale_tracked(), frames.stale_view(), frames.stale_len()),
-                ] {
-                    for j in 0..d {
-                        let got = tracked.feature_stats(j).expect("stats enabled");
-                        assert!(got.is_valid(), "w{w} b{b} step {i} dim {j}");
-                        assert_eq!(got.count(), len, "w{w} b{b} step {i} dim {j}");
-                        let mut want = SeqStats::new(4);
-                        want.rebuild(len, |i| view.features(i)[j]);
-                        assert_eq!(got.turning_points(), want.turning_points());
-                        assert_eq!(got.edges(), want.edges(), "w{w} b{b} step {i} dim {j}");
-                        assert_eq!(got.joint(), want.joint(), "w{w} b{b} step {i} dim {j}");
-                        if len > 2 {
-                            for lag in [1usize, 2] {
-                                let a = centered_num(got, &view, j, lag);
-                                let e = centered_num(&want, &view, j, lag);
-                                assert!(
-                                    (a - e).abs() <= 1e-9 * (1.0 + e.abs()),
-                                    "w{w} b{b} step {i} dim {j} lag {lag}: {a} vs {e}"
-                                );
-                            }
-                        }
-                    }
-                    let got = tracked.label_stats().expect("stats enabled");
-                    let mut want = SeqStats::new(4);
-                    want.rebuild(len, |i| view.label(i) as f64);
-                    assert_eq!(got.turning_points(), want.turning_points());
-                    assert_eq!(got.joint(), want.joint(), "w{w} b{b} step {i} labels");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn enable_stats_is_idempotent_and_disable_drops() {
-        let mut frames = FrameWindows::new(4, 2, 1);
-        for i in 0..10 {
-            frames.push(&[i as f64 * 0.3], i % 2, 0);
-        }
-        frames.enable_stats(8);
-        let before = frames.a_tracked().feature_stats(0).unwrap().clone();
-        // Re-enabling with the same resolution must not touch the state.
-        frames.enable_stats(8);
-        assert_eq!(frames.a_tracked().feature_stats(0).unwrap(), &before);
-        assert_eq!(frames.stats_bins(), Some(8));
-        frames.disable_stats();
-        assert!(frames.a_tracked().feature_stats(0).is_none());
-        assert!(frames.stale_tracked().label_stats().is_none());
-        assert_eq!(frames.stats_bins(), None);
-        assert_eq!(frames.a_tracked().window_tag(), 0);
-        assert_eq!(frames.stale_tracked().window_tag(), 1);
-    }
-
-    #[test]
-    fn rebuild_keeps_moments_consistent() {
-        // Force many evictions through a tiny window to cross the rebuild
-        // interval; the moments must stay equal to a batch recompute.
-        let mut frames = FrameWindows::new(10, 1, 1);
-        for i in 0..(TrackedWindow::REBUILD_INTERVAL + 50) {
-            frames.push(&[(i as f64 * 0.13).sin()], i % 2, 0);
-        }
-        let view = frames.a_view();
-        let mean: f64 =
-            (0..view.len()).map(|i| view.features(i)[0]).sum::<f64>() / view.len() as f64;
-        assert!((frames.a_tracked().feature_moments(0).mean() - mean).abs() < 1e-9);
     }
 }

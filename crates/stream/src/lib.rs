@@ -8,10 +8,12 @@
 //!   tuples the paper operates on,
 //! * [`ConceptStream`] — a stream of observations annotated with the ground
 //!   truth concept identifier needed by the co-occurrence evaluation,
-//! * [`SlidingWindow`] and [`BufferedWindow`] — the *active* window `A` and
-//!   the delayed *buffer* window `B` of Algorithm 1,
-//! * online statistics ([`RunningStats`], [`MinMaxScaler`]) used by the
-//!   fingerprinting and weighting machinery.
+//! * [`FrameWindows`] — the *active* window `A` and the delayed *buffer*
+//!   window `B` of Algorithm 1 as views over one frame ring, read through
+//!   [`FrameSource`] (owned-observation [`SlidingWindow`] and
+//!   [`BufferedWindow`] are the reference they are tested against),
+//! * online statistics ([`RunningStats`], [`EwStats`], [`MinMaxScaler`])
+//!   used by the fingerprinting and weighting machinery.
 
 pub mod frames;
 pub mod observation;
@@ -19,15 +21,10 @@ pub mod rng;
 pub mod stats;
 pub mod stream;
 pub mod window;
-pub mod winstats;
 
-pub use frames::{
-    FrameBlock, FrameSource, FrameStore, FrameView, FrameWindows, MomentSource, StatSource,
-    TrackedFrames,
-};
+pub use frames::{FrameBlock, FrameSource, FrameStore, FrameView, FrameWindows};
 pub use observation::{LabeledObservation, Observation};
 pub use rng::{RandomSource, Xoshiro256pp};
-pub use stats::{EwStats, MinMaxScaler, Moments, RunningStats};
-pub use winstats::SeqStats;
+pub use stats::{EwStats, MinMaxScaler, RunningStats};
 pub use stream::{ConceptStream, StreamSource, VecStream};
-pub use window::{BufferedWindow, SlidingWindow, TrackedWindow};
+pub use window::{BufferedWindow, SlidingWindow};

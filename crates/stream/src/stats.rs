@@ -95,147 +95,6 @@ impl RunningStats {
     }
 }
 
-/// Incremental central moments up to order four, with exact removal.
-///
-/// Extends Welford's recurrence to the third and fourth central moment sums
-/// (Pébay's one-pass update), and — crucially for sliding windows — supports
-/// *downdating*: removing a previously-pushed value in O(1) by running the
-/// update in reverse. This lets mean / standard deviation / skew / kurtosis
-/// of a window be maintained in O(1) per observation instead of O(w) per
-/// fingerprint.
-///
-/// The accessors apply exactly the same degenerate-input gates as the batch
-/// meta-functions in `ficsum-meta` (too-few observations or near-zero
-/// variance return 0), so a freshly rebuilt accumulator and the batch path
-/// agree to floating-point accumulation error.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Moments {
-    count: u64,
-    mean: f64,
-    /// Unnormalised central moment sums: `Σ (x - mean)^k`.
-    m2: f64,
-    m3: f64,
-    m4: f64,
-}
-
-impl Moments {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Incorporates one value (Pébay's update; `m3`/`m4` use the
-    /// pre-update lower moments).
-    pub fn push(&mut self, x: f64) {
-        let n0 = self.count as f64;
-        self.count += 1;
-        let n = n0 + 1.0;
-        let delta = x - self.mean;
-        let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
-        let term1 = delta * delta_n * n0;
-        self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
-        self.m2 += term1;
-    }
-
-    /// Removes a previously-pushed value by inverting the update. The lower
-    /// moments must be recovered first (`m2` before `m3` before `m4`) since
-    /// each higher-order reversal needs the *old* lower moments.
-    ///
-    /// Panics when empty. Removing a value that was never pushed silently
-    /// corrupts the accumulator, as with any downdating scheme.
-    pub fn remove(&mut self, x: f64) {
-        assert!(self.count > 0, "cannot remove from an empty Moments");
-        if self.count == 1 {
-            *self = Self::default();
-            return;
-        }
-        let n = self.count as f64;
-        let n0 = n - 1.0;
-        let mean_old = (n * self.mean - x) / n0;
-        let delta = x - mean_old;
-        let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
-        let term1 = delta * delta_n * n0;
-        let m2_old = self.m2 - term1;
-        let m3_old = self.m3 - term1 * delta_n * (n - 2.0) + 3.0 * delta_n * m2_old;
-        let m4_old = self.m4
-            - term1 * delta_n2 * (n * n - 3.0 * n + 3.0)
-            - 6.0 * delta_n2 * m2_old
-            + 4.0 * delta_n * m3_old;
-        self.count -= 1;
-        self.mean = mean_old;
-        self.m2 = m2_old;
-        self.m3 = m3_old;
-        self.m4 = m4_old;
-    }
-
-    /// Number of values currently represented.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean; 0 when empty (matching the batch `mean` of an empty slice).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation; 0 with fewer than two values.
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        (self.m2.max(0.0) / self.count as f64).sqrt()
-    }
-
-    /// Unnormalised second central moment `Σ (x - mean)²` — the raw sum the
-    /// batch autocorrelation uses as its denominator. Exposed ungated so
-    /// incremental substitutions can apply the batch functions' own gates.
-    pub fn sum_sq_dev(&self) -> f64 {
-        self.m2
-    }
-
-    /// Standardised skewness `m3 / m2^1.5` (population central moments);
-    /// 0 with fewer than three values or near-zero variance.
-    pub fn skewness(&self) -> f64 {
-        if self.count < 3 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let m2 = self.m2 / n;
-        if m2 <= f64::EPSILON {
-            return 0.0;
-        }
-        (self.m3 / n) / m2.powf(1.5)
-    }
-
-    /// Excess kurtosis `m4 / m2^2 - 3`; 0 with fewer than four values or
-    /// near-zero variance.
-    pub fn kurtosis(&self) -> f64 {
-        if self.count < 4 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let m2 = self.m2 / n;
-        if m2 <= f64::EPSILON {
-            return 0.0;
-        }
-        (self.m4 / n) / (m2 * m2) - 3.0
-    }
-
-    /// Resets to empty.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
 /// Exponentially-weighted mean / variance accumulator.
 ///
 /// Tracks the *recent* distribution of a sequence: each update moves the
@@ -476,108 +335,6 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ew_stats_rejects_bad_alpha() {
         let _ = EwStats::new(0.0);
-    }
-
-    /// Batch central-moment reference mirroring `ficsum-meta`'s functions.
-    fn batch_moments(xs: &[f64]) -> (f64, f64, f64, f64) {
-        let n = xs.len();
-        if n == 0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let cm = |k: i32| xs.iter().map(|x| (x - mean).powi(k)).sum::<f64>() / n as f64;
-        let (m2, m3, m4) = (cm(2), cm(3), cm(4));
-        let sd = if n < 2 { 0.0 } else { m2.sqrt() };
-        let skew = if n < 3 || m2 <= f64::EPSILON { 0.0 } else { m3 / m2.powf(1.5) };
-        let kurt = if n < 4 || m2 <= f64::EPSILON { 0.0 } else { m4 / (m2 * m2) - 3.0 };
-        (mean, sd, skew, kurt)
-    }
-
-    #[test]
-    fn moments_push_matches_batch() {
-        let data = [2.0, -4.0, 4.5, 4.0, 5.0, -5.0, 7.0, 9.25, 0.5, 1.0];
-        let mut m = Moments::new();
-        for (i, &v) in data.iter().enumerate() {
-            m.push(v);
-            let (mean, sd, skew, kurt) = batch_moments(&data[..=i]);
-            assert!((m.mean() - mean).abs() < 1e-12);
-            assert!((m.std_dev() - sd).abs() < 1e-12);
-            assert!((m.skewness() - skew).abs() < 1e-10, "skew at {i}");
-            assert!((m.kurtosis() - kurt).abs() < 1e-10, "kurt at {i}");
-        }
-    }
-
-    #[test]
-    fn moments_remove_inverts_push() {
-        let mut m = Moments::new();
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            m.push(v);
-        }
-        let snapshot = m;
-        m.push(99.0);
-        m.remove(99.0);
-        assert_eq!(m.count(), snapshot.count());
-        assert!((m.mean() - snapshot.mean()).abs() < 1e-12);
-        assert!((m.std_dev() - snapshot.std_dev()).abs() < 1e-12);
-        assert!((m.skewness() - snapshot.skewness()).abs() < 1e-10);
-        assert!((m.kurtosis() - snapshot.kurtosis()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn moments_sliding_window_stays_accurate() {
-        // Simulate a capacity-8 sliding window over a varied signal and
-        // compare against batch recomputation at every step.
-        let signal: Vec<f64> = (0..300)
-            .map(|i| {
-                let t = i as f64;
-                (t * 0.37).sin() * 3.0 + (t * 0.051).cos() + if i % 7 == 0 { 5.0 } else { 0.0 }
-            })
-            .collect();
-        let w = 8;
-        let mut m = Moments::new();
-        for i in 0..signal.len() {
-            m.push(signal[i]);
-            if i >= w {
-                m.remove(signal[i - w]);
-            }
-            let lo = i.saturating_sub(w - 1);
-            let (mean, sd, skew, kurt) = batch_moments(&signal[lo..=i]);
-            assert!((m.mean() - mean).abs() < 1e-9, "mean at {i}");
-            assert!((m.std_dev() - sd).abs() < 1e-9, "sd at {i}");
-            assert!((m.skewness() - skew).abs() < 1e-9, "skew at {i}");
-            assert!((m.kurtosis() - kurt).abs() < 1e-9, "kurt at {i}");
-        }
-    }
-
-    #[test]
-    fn moments_degenerate_gates_match_batch() {
-        let mut m = Moments::new();
-        assert_eq!(m.mean(), 0.0);
-        m.push(3.0);
-        assert_eq!(m.std_dev(), 0.0); // < 2 values
-        m.push(4.0);
-        assert_eq!(m.skewness(), 0.0); // < 3 values
-        m.push(5.0);
-        assert_eq!(m.kurtosis(), 0.0); // < 4 values
-        // Constant series: near-zero variance gates skew and kurtosis.
-        let mut c = Moments::new();
-        for _ in 0..10 {
-            c.push(1.0);
-        }
-        assert_eq!(c.skewness(), 0.0);
-        assert_eq!(c.kurtosis(), 0.0);
-        // Removing down to empty resets cleanly.
-        let mut r = Moments::new();
-        r.push(7.0);
-        r.remove(7.0);
-        assert_eq!(r, Moments::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn moments_remove_from_empty_panics() {
-        let mut m = Moments::new();
-        m.remove(1.0);
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!   because any drift-detection delay is bounded by `b`.
 //!
 //! [`SlidingWindow`] implements `A`; [`BufferedWindow`] implements the
-//! `Buf -> B` pipeline.
+//! `Buf -> B` pipeline. Both hold owned observations. The framework keeps
+//! its two windows as views over one frame ring instead
+//! ([`crate::frames::FrameWindows`]), and these windows are the membership
+//! reference that ring is tested against.
 
 use std::collections::VecDeque;
 
 use crate::observation::LabeledObservation;
-use crate::stats::Moments;
 
 /// A fixed-capacity FIFO window of the `w` most recent labeled observations.
 #[derive(Debug, Clone)]
@@ -78,142 +80,6 @@ impl SlidingWindow {
     }
 }
 
-/// A sliding window that additionally maintains incremental central moments
-/// for every feature dimension and for the label sequence.
-///
-/// This is the O(1)-per-observation half of the fingerprint engine: the
-/// mean / standard deviation / skew / kurtosis of the *feature* and *label*
-/// behaviour sources depend only on window membership (never on the active
-/// classifier), so they can be updated on push/evict instead of recomputed
-/// over the full window at every fingerprint. Classifier-dependent sources
-/// (predictions, errors, error distances) are left to the batch pass.
-///
-/// To keep a long-running stream numerically honest, the accumulators are
-/// rebuilt from the raw window contents after [`Self::REBUILD_INTERVAL`]
-/// evictions — downdating is exact in infinite precision but accretes
-/// rounding error over unbounded insert/evict cycles.
-#[derive(Debug, Clone)]
-pub struct TrackedWindow {
-    window: SlidingWindow,
-    /// Per-feature-dimension moment accumulators.
-    feature_moments: Vec<Moments>,
-    label_moments: Moments,
-    evictions_since_rebuild: usize,
-}
-
-impl TrackedWindow {
-    /// Evictions between full accumulator rebuilds.
-    pub const REBUILD_INTERVAL: usize = 4096;
-
-    /// Window of `capacity` observations with `n_features` feature
-    /// dimensions per observation.
-    pub fn new(capacity: usize, n_features: usize) -> Self {
-        Self {
-            window: SlidingWindow::new(capacity),
-            feature_moments: vec![Moments::new(); n_features],
-            label_moments: Moments::new(),
-            evictions_since_rebuild: 0,
-        }
-    }
-
-    /// Appends an observation, evicting (and returning) the oldest when
-    /// full; the moment accumulators track both edits.
-    pub fn push(&mut self, obs: LabeledObservation) -> Option<LabeledObservation> {
-        debug_assert_eq!(obs.features().len(), self.feature_moments.len());
-        for (m, &x) in self.feature_moments.iter_mut().zip(obs.features()) {
-            m.push(x);
-        }
-        self.label_moments.push(obs.label() as f64);
-        let evicted = self.window.push(obs);
-        if let Some(old) = &evicted {
-            for (m, &x) in self.feature_moments.iter_mut().zip(old.features()) {
-                m.remove(x);
-            }
-            self.label_moments.remove(old.label() as f64);
-            self.evictions_since_rebuild += 1;
-            if self.evictions_since_rebuild >= Self::REBUILD_INTERVAL {
-                self.rebuild();
-            }
-        }
-        evicted
-    }
-
-    /// Recomputes every accumulator from the raw window contents.
-    fn rebuild(&mut self) {
-        for m in &mut self.feature_moments {
-            m.reset();
-        }
-        self.label_moments.reset();
-        for obs in self.window.iter() {
-            for (m, &x) in self.feature_moments.iter_mut().zip(obs.features()) {
-                m.push(x);
-            }
-            self.label_moments.push(obs.label() as f64);
-        }
-        self.evictions_since_rebuild = 0;
-    }
-
-    /// Moment accumulator for feature dimension `j`.
-    pub fn feature_moments(&self, j: usize) -> &Moments {
-        &self.feature_moments[j]
-    }
-
-    /// Moment accumulator for the label sequence.
-    pub fn label_moments(&self) -> &Moments {
-        &self.label_moments
-    }
-
-    /// Number of tracked feature dimensions.
-    pub fn n_features(&self) -> usize {
-        self.feature_moments.len()
-    }
-
-    /// Current number of observations held.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Whether the window holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Whether the window has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.window.is_full()
-    }
-
-    /// Configured capacity `w`.
-    pub fn capacity(&self) -> usize {
-        self.window.capacity()
-    }
-
-    /// Iterates oldest-to-newest.
-    pub fn iter(&self) -> impl Iterator<Item = &LabeledObservation> + Clone {
-        self.window.iter()
-    }
-
-    /// The `i`-th observation, oldest first. O(1).
-    pub fn get(&self, i: usize) -> &LabeledObservation {
-        self.window.get(i)
-    }
-
-    /// The underlying plain window.
-    pub fn as_window(&self) -> &SlidingWindow {
-        &self.window
-    }
-
-    /// Drops all contents and resets the accumulators.
-    pub fn clear(&mut self) {
-        self.window.clear();
-        for m in &mut self.feature_moments {
-            m.reset();
-        }
-        self.label_moments.reset();
-        self.evictions_since_rebuild = 0;
-    }
-}
-
 /// The delayed buffer of Algorithm 1 (lines 12–15).
 ///
 /// New observations enter a holding buffer of length `b`; once an observation
@@ -224,18 +90,17 @@ impl TrackedWindow {
 #[derive(Debug, Clone)]
 pub struct BufferedWindow {
     holding: VecDeque<LabeledObservation>,
-    stale: TrackedWindow,
+    stale: SlidingWindow,
     delay: usize,
 }
 
 impl BufferedWindow {
     /// `delay` is the buffer length `b`; `window` is `w`, the capacity of the
-    /// stale window; `n_features` is the feature dimensionality tracked by
-    /// the stale window's moment accumulators.
-    pub fn new(delay: usize, window: usize, n_features: usize) -> Self {
+    /// stale window.
+    pub fn new(delay: usize, window: usize) -> Self {
         Self {
             holding: VecDeque::with_capacity(delay + 1),
-            stale: TrackedWindow::new(window, n_features),
+            stale: SlidingWindow::new(window),
             delay,
         }
     }
@@ -251,9 +116,8 @@ impl BufferedWindow {
         }
     }
 
-    /// The stale window `B` (observations older than the delay), with
-    /// incrementally maintained feature/label moments.
-    pub fn stale(&self) -> &TrackedWindow {
+    /// The stale window `B` (observations older than the delay).
+    pub fn stale(&self) -> &SlidingWindow {
         &self.stale
     }
 
@@ -306,7 +170,7 @@ mod tests {
 
     #[test]
     fn buffered_window_delays_by_b() {
-        let mut b = BufferedWindow::new(2, 3, 1);
+        let mut b = BufferedWindow::new(2, 3);
         for i in 0..2 {
             b.push(lo(i));
         }
@@ -321,7 +185,7 @@ mod tests {
 
     #[test]
     fn buffered_window_stale_caps_at_w() {
-        let mut b = BufferedWindow::new(1, 2, 1);
+        let mut b = BufferedWindow::new(1, 2);
         for i in 0..6 {
             b.push(lo(i));
         }
@@ -332,51 +196,15 @@ mod tests {
 
     #[test]
     fn buffered_window_zero_delay_graduates_immediately() {
-        let mut b = BufferedWindow::new(0, 4, 1);
+        let mut b = BufferedWindow::new(0, 4);
         b.push(lo(0));
         assert_eq!(b.stale().len(), 1);
         assert_eq!(b.holding_len(), 0);
     }
 
     #[test]
-    fn tracked_window_moments_match_batch() {
-        let mut tw = TrackedWindow::new(5, 2);
-        for i in 0..40usize {
-            let f0 = (i as f64 * 0.61).sin() * 2.0;
-            let f1 = i as f64 * 0.13 - 1.0;
-            tw.push(LabeledObservation::new(vec![f0, f1], i % 3, 0));
-            // Batch reference over current contents.
-            for j in 0..2 {
-                let xs: Vec<f64> = tw.iter().map(|o| o.features()[j]).collect();
-                let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-                assert!((tw.feature_moments(j).mean() - mean).abs() < 1e-10);
-            }
-            let labels: Vec<f64> = tw.iter().map(|o| o.label() as f64).collect();
-            let lmean = labels.iter().sum::<f64>() / labels.len() as f64;
-            assert!((tw.label_moments().mean() - lmean).abs() < 1e-10);
-            assert_eq!(tw.label_moments().count() as usize, tw.len());
-        }
-        assert!(tw.is_full());
-        assert_eq!(tw.len(), 5);
-    }
-
-    #[test]
-    fn tracked_window_rebuild_and_clear() {
-        let mut tw = TrackedWindow::new(3, 1);
-        for i in 0..10 {
-            tw.push(lo(i));
-        }
-        tw.clear();
-        assert!(tw.is_empty());
-        assert_eq!(tw.feature_moments(0).count(), 0);
-        assert_eq!(tw.label_moments().count(), 0);
-        tw.push(lo(5));
-        assert_eq!(tw.feature_moments(0).mean(), 5.0);
-    }
-
-    #[test]
     fn clear_empties_everything() {
-        let mut b = BufferedWindow::new(3, 3, 1);
+        let mut b = BufferedWindow::new(3, 3);
         for i in 0..10 {
             b.push(lo(i));
         }
