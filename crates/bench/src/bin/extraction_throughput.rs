@@ -21,7 +21,9 @@
 //! `--out PATH` records the baseline, `--check PATH` fails (exit 1) when the
 //! engine or the streaming path drops more than 20% below it, and
 //! `--assert-zero-alloc` (requires the `alloc-count` feature) fails when the
-//! streaming steady state allocates at all.
+//! streaming steady state allocates at all, or when a repository-scan step
+//! (push one frame, `static_scan_frames`, then `extract_with_scan` under
+//! two stored trees) does.
 //!
 //! Usage: `extraction_throughput [--secs S] [--d D] [--window W] [--reps R]
 //! [--jsonl PATH] [--out PATH] [--check PATH] [--min-ratio F]
@@ -33,7 +35,7 @@ use std::sync::Arc;
 use ficsum_bench::harness::{synthetic_window, time_throughput, Options, Throughput};
 use ficsum_bench::jsonl_out::JsonlReporter;
 use ficsum_classifiers::{Classifier, HoeffdingTree};
-use ficsum_meta::{FingerprintEngine, FingerprintExtractor};
+use ficsum_meta::{FingerprintEngine, FingerprintExtractor, StaticScan};
 use ficsum_obs::MonotonicClock;
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::{FrameWindows, LabeledObservation};
@@ -118,9 +120,12 @@ fn main() {
     let window = synthetic_window(w, d, 42);
     let mut rng = Xoshiro256pp::seed_from_u64(7);
     let mut tree = HoeffdingTree::new(d, 2);
+    // A second concept's tree, for the repository-scan round below.
+    let mut other_tree = HoeffdingTree::new(d, 2);
     for _ in 0..2000 {
         let x: Vec<f64> = (0..d).map(|_| rng.random()).collect();
         tree.train(&x, (x[0] > 0.5) as usize);
+        other_tree.train(&x, (x[1] > 0.5) as usize);
     }
 
     let extractor = FingerprintExtractor::full(d);
@@ -240,24 +245,45 @@ fn main() {
             std::process::exit(1);
         }
         // Warm the scratch buffers, then demand a fully allocation-free
-        // steady state: push + extraction must stay inside reused capacity.
-        let iters = 256usize;
-        for _ in 0..64 {
-            stream_step();
-        }
-        let a0 = alloc_sample();
-        for _ in 0..iters {
-            stream_step();
-        }
-        let allocs = alloc_sample() - a0;
-        println!("zero-alloc assertion: {allocs} allocations over {iters} steady-state steps");
-        if allocs != 0 {
-            eprintln!(
-                "ALLOC REGRESSION: steady-state streaming extraction allocated \
-                 {allocs} times over {iters} steps (expected 0)"
+        // steady state: each step must stay inside reused capacity.
+        let assert_steady = |what: &str, step: &mut dyn FnMut()| {
+            let iters = 256usize;
+            for _ in 0..64 {
+                step();
+            }
+            let a0 = alloc_sample();
+            for _ in 0..iters {
+                step();
+            }
+            let allocs = alloc_sample() - a0;
+            println!(
+                "zero-alloc assertion ({what}): {allocs} allocations over {iters} steady-state steps"
             );
-            std::process::exit(1);
-        }
+            if allocs != 0 {
+                eprintln!(
+                    "ALLOC REGRESSION: steady-state {what} allocated {allocs} times \
+                     over {iters} steps (expected 0)"
+                );
+                std::process::exit(1);
+            }
+        };
+        assert_steady("streaming extraction", &mut stream_step);
+        // The repository sweep's shape: push one frame, scan the window's
+        // classifier-independent sources once, then fingerprint it under
+        // each stored tree.
+        let mut scan = StaticScan::new();
+        let mut scan_step = || {
+            let o = &tape[next % tape.len()];
+            next += 1;
+            fw.push(o.features(), o.label(), o.prediction);
+            let view = fw.a_view();
+            engine.static_scan_frames(&view, &mut scan);
+            for stored in [&tree, &other_tree] {
+                engine.extract_with_scan(&view, &scan, stored, &mut fp);
+                std::hint::black_box(&fp);
+            }
+        };
+        assert_steady("repository scan", &mut scan_step);
     }
 
     let line = format!(

@@ -56,26 +56,29 @@ pub trait Classifier: Send + Sync {
         None
     }
 
-    /// Allocation-free variant of [`Self::feature_contributions`]: fills
-    /// `out` and returns `true` when the learner can attribute the
-    /// prediction, returns `false` (leaving `out` unspecified) otherwise.
-    /// `proba_scratch` is caller-owned scratch for the probability walks.
-    /// Must produce the same values as `feature_contributions`.
-    fn contributions_with(
+    /// Prediction and attribution of `x` in one call: returns the label
+    /// [`Self::predict_with`] gives and whether the learner attributed it.
+    /// When it did, `out` holds the values [`Self::feature_contributions`]
+    /// gives; otherwise `out` is unspecified. `proba_scratch` is caller-owned
+    /// scratch for the probability work, so a learner that attributes
+    /// through its prediction (a tree's root-to-leaf walk) evaluates it once.
+    /// The default predicts, then asks `feature_contributions`.
+    fn predict_contributions_with(
         &self,
         x: &[f64],
         out: &mut Vec<f64>,
         proba_scratch: &mut Vec<f64>,
-    ) -> bool {
-        let _ = proba_scratch;
-        match self.feature_contributions(x) {
+    ) -> (usize, bool) {
+        let label = self.predict_with(x, proba_scratch);
+        let attributed = match self.feature_contributions(x) {
             Some(c) => {
                 out.clear();
                 out.extend_from_slice(&c);
                 true
             }
             None => false,
-        }
+        };
+        (label, attributed)
     }
 
     /// A rough model-complexity measure (splits for trees, experts for

@@ -457,19 +457,25 @@ impl Classifier for HoeffdingTree {
     fn feature_contributions(&self, x: &[f64]) -> Option<Vec<f64>> {
         let mut contrib = Vec::new();
         let mut scratch = Vec::with_capacity(self.n_classes);
-        self.contributions_with(x, &mut contrib, &mut scratch);
+        self.predict_contributions_with(x, &mut contrib, &mut scratch);
         Some(contrib)
     }
 
-    fn contributions_with(
+    /// One leaf evaluation serves both answers: the leaf `x` sorts to is the
+    /// end of the contribution walk, so the walk's last hop reuses the
+    /// predicted class's probability at that leaf.
+    fn predict_contributions_with(
         &self,
         x: &[f64],
         out: &mut Vec<f64>,
         proba_scratch: &mut Vec<f64>,
-    ) -> bool {
+    ) -> (usize, bool) {
+        // The same probabilities, and so the same label, as `predict_with`.
+        self.predict_proba_into(x, proba_scratch);
+        let pred = argmax(proba_scratch);
+        let p_leaf = proba_scratch[pred];
         out.clear();
         out.resize(self.n_features, 0.0);
-        let pred = self.predict_with(x, proba_scratch);
         let norm_counts = |counts: &[f64], scratch: &mut Vec<f64>| {
             scratch.clear();
             scratch.extend_from_slice(counts);
@@ -485,16 +491,13 @@ impl Classifier for HoeffdingTree {
             let p_here = norm_counts(class_counts, proba_scratch);
             let child = if x[*feature] <= *threshold { *left } else { *right };
             let p_child = match &self.nodes[child] {
-                Node::Leaf(l) => {
-                    self.leaf_proba_into(l, x, proba_scratch);
-                    proba_scratch[pred]
-                }
+                Node::Leaf(_) => p_leaf,
                 Node::Split { class_counts, .. } => norm_counts(class_counts, proba_scratch),
             };
             out[*feature] += p_child - p_here;
             idx = child;
         }
-        true
+        (pred, true)
     }
 }
 
@@ -509,6 +512,7 @@ pub fn _cdf_for_tests(x: f64, mean: f64, std: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::normalize_or_uniform;
     use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 
     /// Two well-separated Gaussian blobs labelled by a threshold on x0.
@@ -570,6 +574,64 @@ mod tests {
             acc[0] > acc[1],
             "feature 0 drives labels; contributions {acc:?} disagree"
         );
+    }
+
+    /// The Saabas walk evaluated on its own: predict, then walk root to
+    /// leaf, evaluating the leaf's probabilities again at the last hop.
+    fn walk_contributions(tree: &HoeffdingTree, x: &[f64]) -> Vec<f64> {
+        let mut proba = Vec::new();
+        let pred = tree.predict_with(x, &mut proba);
+        let mut out = vec![0.0; tree.n_features];
+        let p_of = |counts: &[f64]| normalize_or_uniform(counts.to_vec())[pred];
+        let mut idx = tree.root;
+        while let Node::Split { feature, threshold, class_counts, left, right } = &tree.nodes[idx] {
+            let child = if x[*feature] <= *threshold { *left } else { *right };
+            let p_child = match &tree.nodes[child] {
+                Node::Leaf(l) => {
+                    tree.leaf_proba_into(l, x, &mut proba);
+                    proba[pred]
+                }
+                Node::Split { class_counts, .. } => p_of(class_counts),
+            };
+            out[*feature] += p_child - p_of(class_counts);
+            idx = child;
+        }
+        out
+    }
+
+    #[test]
+    fn predict_contributions_with_matches_separate_calls_bitwise() {
+        // One leaf evaluation must give the label `predict_with` gives and
+        // the values of a walk that evaluates the leaf again, in every leaf
+        // mode, from the untrained single leaf to a tree several splits deep.
+        for mode in [
+            LeafPrediction::MajorityClass,
+            LeafPrediction::NaiveBayes,
+            LeafPrediction::NaiveBayesAdaptive,
+        ] {
+            let config = HoeffdingTreeConfig { leaf_prediction: mode, ..HoeffdingTreeConfig::default() };
+            let mut rng = Xoshiro256pp::seed_from_u64(8);
+            let mut tree = HoeffdingTree::with_config(3, 3, config);
+            let (mut out, mut proba, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+            for round in 0..4 {
+                for _ in 0..round * 1500 {
+                    let x = [rng.random::<f64>() * 3.0, rng.random::<f64>(), rng.random::<f64>()];
+                    let y = (x[0] as usize + (x[1] > 0.7) as usize) % 3;
+                    tree.train(&x, y);
+                }
+                for _ in 0..200 {
+                    let x = [rng.random::<f64>() * 3.0, rng.random::<f64>(), rng.random::<f64>()];
+                    let (label, attributed) = tree.predict_contributions_with(&x, &mut out, &mut proba);
+                    assert!(attributed);
+                    assert_eq!(label, tree.predict_with(&x, &mut scratch), "{mode:?} round {round}");
+                    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                    let expected = walk_contributions(&tree, &x);
+                    assert_eq!(bits(&out), bits(&expected), "{mode:?} round {round}");
+                    assert_eq!(bits(&tree.feature_contributions(&x).unwrap()), bits(&expected));
+                }
+            }
+            assert!(tree.n_splits() >= 2, "{mode:?}: the walk must cross splits");
+        }
     }
 
     #[test]

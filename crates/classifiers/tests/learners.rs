@@ -110,3 +110,32 @@ fn only_trees_expose_contributions_and_growth() {
     assert!(nb.feature_contributions(&[0.1, 0.2]).is_none());
     assert!(!nb.take_growth_event());
 }
+
+#[test]
+fn predict_contributions_with_agrees_with_the_separate_calls() {
+    // The tree overrides the fused call; every other learner takes the
+    // trait default, which predicts and reports no attribution.
+    for mut clf in learners(2, 3) {
+        let mut rng = Xoshiro256pp::seed_from_u64(6);
+        for _ in 0..1500 {
+            let (x, y) = blob(&mut rng, 3);
+            clf.train(&x, y);
+        }
+        let (mut out, mut proba, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..100 {
+            let (x, _) = blob(&mut rng, 3);
+            let (label, attributed) = clf.predict_contributions_with(&x, &mut out, &mut proba);
+            assert_eq!(label, clf.predict_with(&x, &mut scratch));
+            match clf.feature_contributions(&x) {
+                Some(c) => {
+                    assert!(attributed);
+                    assert_eq!(
+                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    );
+                }
+                None => assert!(!attributed, "a learner without attribution must say so"),
+            }
+        }
+    }
+}

@@ -708,16 +708,9 @@ impl Ficsum {
             debug_assert_eq!(scored.len(), n_cands, "every scan slot must be filled");
         }
         // Acceptance fold, identical to the sequential reference loop.
-        let debug_on = std::env::var_os("FICSUM_DEBUG").is_some();
         let mut banded: Option<(ConceptId, f64)> = None;
         let mut all: Vec<(ConceptId, f64, f64)> = Vec::with_capacity(scored.len());
         for (id, sim, mu, sigma) in scored {
-            if debug_on {
-                eprintln!(
-                    "  [select t={}] entry {id}: sim={sim:.4} mu={mu:.4} sigma={sigma:.4}",
-                    self.t
-                );
-            }
             if sim >= mu - self.config.accept_sigma * sigma
                 && banded.is_none_or(|(_, b)| sim > b)
             {

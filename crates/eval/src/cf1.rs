@@ -50,12 +50,17 @@ impl CoOccurrenceF1 {
     }
 
     /// The C-F1 score: mean best-F1 over all observed concepts.
+    ///
+    /// The per-concept scores are summed in ascending concept order, so the
+    /// result does not depend on the maps' per-instance iteration order.
     pub fn c_f1(&self) -> f64 {
         if self.concept_totals.is_empty() {
             return 0.0;
         }
-        let total: f64 = self.concept_totals.keys().map(|&c| self.best_f1(c)).sum();
-        total / self.concept_totals.len() as f64
+        let mut concepts: Vec<usize> = self.concept_totals.keys().copied().collect();
+        concepts.sort_unstable();
+        let total: f64 = concepts.iter().map(|&c| self.best_f1(c)).sum();
+        total / concepts.len() as f64
     }
 
     /// Number of distinct models observed.
@@ -115,6 +120,30 @@ mod tests {
         }
         // precision 0.5, recall 1.0 -> F1 = 2/3 for each concept.
         assert!((c.c_f1() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn c_f1_is_bit_identical_across_instances() {
+        // Each map has its own random iteration order; the score must not.
+        // Thirteen concepts with scores of unequal magnitude make a
+        // floating-point sum depend on the order it is taken in.
+        let records: Vec<(usize, usize)> = (0..5000usize)
+            .map(|t| {
+                let concept = (t * 7 + t / 13) % 13;
+                let model = (t * 31 + concept * concept) % 9;
+                (concept, model)
+            })
+            .collect();
+        let scores: Vec<u64> = (0..50)
+            .map(|_| {
+                let mut c = CoOccurrenceF1::new();
+                for &(concept, model) in &records {
+                    c.record(concept, model);
+                }
+                c.c_f1().to_bits()
+            })
+            .collect();
+        assert!(scores.iter().all(|&s| s == scores[0]), "{scores:?}");
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! cubic-spline envelopes through the local maxima and minima until the
 //! residual behaves like an IMF. Each IMF is then summarised by the Shannon
 //! entropy of its value histogram, capturing behaviour at that timescale.
+//!
+//! [`imf_entropies`] is the allocating reference. Extraction runs
+//! [`imf_entropies_scratch`], the same sifting with reused buffers: one
+//! branch-free sweep finds both extrema lists, both envelopes are fitted
+//! together ([`SplineScratch::fit_pair`]) and read segment by segment on the
+//! integer grid ([`SplineScratch::eval_grid`]). Every floating-point
+//! operation keeps its operands and order, so the two agree bit for bit.
 
 use crate::spline::{CubicSpline, SplineScratch};
 
@@ -188,78 +195,86 @@ impl EmdScratch {
 /// Buffers consumed by a single sifting pass.
 #[derive(Debug, Clone, Default)]
 struct SiftBuffers {
+    /// Extremum indices; only the prefix counted by the sweep is valid.
     max_idx: Vec<usize>,
     min_idx: Vec<usize>,
-    kx: Vec<f64>,
-    ky: Vec<f64>,
     upper: SplineScratch,
     lower: SplineScratch,
+    /// The two envelopes evaluated on the grid `0..n`.
+    upper_grid: Vec<f64>,
+    lower_grid: Vec<f64>,
 }
 
-/// Both [`local_extrema`] passes fused into one sweep over `xs` (the
-/// maximum and minimum conditions are mutually exclusive, so a single
-/// branch per point reproduces both index lists exactly).
-fn local_extrema_both_into(xs: &[f64], max_out: &mut Vec<usize>, min_out: &mut Vec<usize>) {
-    max_out.clear();
-    min_out.clear();
+/// Both [`local_extrema`] passes fused into one branch-free sweep over
+/// `xs`: every index is written to both lists, and each list's length
+/// advances by its own condition, so a rejected index is overwritten by the
+/// next one. Returns the numbers of maxima and minima; the lists hold them
+/// in their first entries, in the order [`local_extrema`] gives them.
+fn local_extrema_both_into(
+    xs: &[f64],
+    max_out: &mut Vec<usize>,
+    min_out: &mut Vec<usize>,
+) -> (usize, usize) {
     let n = xs.len();
     if n < 3 {
-        return;
+        return (0, 0);
     }
-    for i in 1..n - 1 {
-        let (a, b, c) = (xs[i - 1], xs[i], xs[i + 1]);
-        if b > a && b >= c {
-            max_out.push(i);
-        } else if b < a && b <= c {
-            min_out.push(i);
+    // One slot per candidate `1..n - 1`: a list's length never exceeds the
+    // number of candidates already swept.
+    for buf in [&mut *max_out, &mut *min_out] {
+        if buf.len() < n - 2 {
+            buf.resize(n - 2, 0);
         }
     }
+    let (mut n_max, mut n_min) = (0, 0);
+    for (i, w) in xs.windows(3).enumerate() {
+        let (a, b, c) = (w[0], w[1], w[2]);
+        max_out[n_max] = i + 1;
+        min_out[n_min] = i + 1;
+        n_max += (b > a && b >= c) as usize;
+        n_min += (b < a && b <= c) as usize;
+    }
+    (n_max, n_min)
 }
 
-/// Fits an endpoint-anchored envelope through the extrema at `idx`,
-/// mirroring the knot construction in [`sift_once`].
-fn fit_envelope(
-    xs: &[f64],
-    idx: &[usize],
-    kx: &mut Vec<f64>,
-    ky: &mut Vec<f64>,
-    spline: &mut SplineScratch,
-) -> bool {
-    let n = xs.len();
-    kx.clear();
-    ky.clear();
-    kx.push(0.0);
-    ky.push(xs[0]);
-    for &i in idx {
-        kx.push(i as f64);
-        ky.push(xs[i]);
-    }
-    if *idx.last().unwrap() != n - 1 {
-        kx.push((n - 1) as f64);
-        ky.push(xs[n - 1]);
-    }
-    spline.fit(kx, ky)
+/// The knots of an endpoint-anchored envelope through the extrema at `idx`,
+/// as [`sift_once`] builds them.
+fn envelope_knots<'a>(xs: &'a [f64], idx: &'a [usize]) -> impl Iterator<Item = (f64, f64)> + 'a {
+    let last = xs.len() - 1;
+    let tail = (*idx.last().expect("an envelope has at least two extrema") != last).then_some(last);
+    std::iter::once(0).chain(idx.iter().copied()).chain(tail).map(|i| (i as f64, xs[i]))
 }
 
 /// [`sift_once`] with reused buffers; returns `false` where the allocating
-/// version returns `None`. The monotone spline evaluation walks `x = 0..n`
-/// in order, matching the binary-search result at every point.
+/// version returns `None`. Both envelopes are fitted together
+/// ([`SplineScratch::fit_pair`]) and evaluated on the grid `0..n`
+/// ([`SplineScratch::eval_grid`]), matching [`CubicSpline::eval`] at every
+/// point.
 fn sift_once_into(xs: &[f64], out: &mut Vec<f64>, s: &mut SiftBuffers) -> bool {
-    local_extrema_both_into(xs, &mut s.max_idx, &mut s.min_idx);
-    if s.max_idx.len() < 2 || s.min_idx.len() < 2 {
+    let (n_max, n_min) = local_extrema_both_into(xs, &mut s.max_idx, &mut s.min_idx);
+    if n_max < 2 || n_min < 2 {
         return false;
     }
-    if !fit_envelope(xs, &s.max_idx, &mut s.kx, &mut s.ky, &mut s.upper) {
+    if !SplineScratch::fit_pair(
+        &mut s.upper,
+        &mut s.lower,
+        envelope_knots(xs, &s.max_idx[..n_max]),
+        envelope_knots(xs, &s.min_idx[..n_min]),
+    ) {
         return false;
     }
-    if !fit_envelope(xs, &s.min_idx, &mut s.kx, &mut s.ky, &mut s.lower) {
-        return false;
+    let n = xs.len();
+    for grid in [&mut s.upper_grid, &mut s.lower_grid] {
+        if grid.len() < n {
+            grid.resize(n, 0.0);
+        }
     }
+    let (upper, lower) = (&mut s.upper_grid[..n], &mut s.lower_grid[..n]);
+    s.upper.eval_grid(upper);
+    s.lower.eval_grid(lower);
     out.clear();
-    out.extend(xs.iter().enumerate().map(|(i, &v)| {
-        let x = i as f64;
-        v - 0.5 * (s.upper.eval_monotone(x) + s.lower.eval_monotone(x))
-    }));
+    let mean_envelope = upper.iter().zip(lower.iter()).map(|(&u, &l)| 0.5 * (u + l));
+    out.extend(xs.iter().zip(mean_envelope).map(|(&v, m)| v - m));
     true
 }
 
@@ -439,6 +454,62 @@ mod tests {
             hn - hs > 0.5,
             "dense ({hn}) vs spiky ({hs}) IMF1 entropy should differ clearly"
         );
+    }
+
+    #[test]
+    fn scratch_is_bit_identical_to_allocating_path_on_stream_shapes() {
+        // The sequences extraction feeds EMD: feature values, label runs,
+        // sparse error indicators and short error distances, at window-like
+        // lengths, then every length up to 10. One scratch serves them all,
+        // so buffers left longer by an earlier sequence are exercised too.
+        // The IMFs themselves are compared too: an entropy histogram hides
+        // a last-bit difference in the signal it bins.
+        let mut rng = Xoshiro256pp::seed_from_u64(31);
+        let mut scratch = EmdScratch::new();
+        let config = EmdConfig::default();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut check = |xs: &[f64], what: &str| {
+            let (a, b) = imf_entropies(xs, &config);
+            let (sa, sb) = imf_entropies_scratch(xs, &config, &mut scratch);
+            assert_eq!((a.to_bits(), b.to_bits()), (sa.to_bits(), sb.to_bits()), "{what}: {xs:?}");
+            let EmdScratch { residual, h, next, sift, .. } = &mut scratch;
+            residual.clear();
+            residual.extend_from_slice(xs);
+            for imf in decompose(xs, &config) {
+                assert!(extract_imf_into(residual, h, next, sift, &config), "{what}: {xs:?}");
+                assert_eq!(bits(h), bits(&imf), "{what}: {xs:?}");
+                for (r, i) in residual.iter_mut().zip(h.iter()) {
+                    *r -= i;
+                }
+            }
+        };
+        for trial in 0..40 {
+            let n = [75, 50, 100, 30, 13][trial % 5];
+            let noise: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
+            check(&noise, "uniform noise");
+            let mut label = 0.0;
+            let runs: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.random::<f64>() < 0.15 {
+                        label = 1.0 - label;
+                    }
+                    label
+                })
+                .collect();
+            check(&runs, "label runs");
+            let errors: Vec<f64> =
+                (0..n).map(|_| if rng.random::<f64>() < 0.1 { 1.0 } else { 0.0 }).collect();
+            check(&errors, "sparse errors");
+            let distances: Vec<f64> =
+                (0..n / 4).map(|_| (1 + rng.random_range(0..6usize)) as f64).collect();
+            check(&distances, "error distances");
+        }
+        for n in 0..=10 {
+            let noise: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
+            check(&noise, "short noise");
+            let bits: Vec<f64> = (0..n).map(|i| ((i * 7 + n) % 3 == 0) as u8 as f64).collect();
+            check(&bits, "short 0/1");
+        }
     }
 
     #[test]

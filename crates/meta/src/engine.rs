@@ -18,6 +18,10 @@
 //! * **Fused moments** — mean, standard deviation, skew and kurtosis come
 //!   from a single two-pass sweep instead of nine, with bit-identical
 //!   results to the batch functions.
+//! * **One classifier pass** — re-prediction and the feature-importance
+//!   tail ask the classifier about each row once, through
+//!   [`Classifier::predict_contributions_with`], summing importance in row
+//!   order as before.
 //! * **Shared static scan** — a repository sweep scores one window under
 //!   many classifiers; the classifier-independent sources are evaluated
 //!   once into a [`StaticScan`] and reused for every classifier.
@@ -366,15 +370,9 @@ impl FingerprintEngine {
     ) {
         debug_assert!(scan.ready, "extract_with_scan before static_scan");
         let n = src.len();
-        {
-            let Self { preds, proba, .. } = self;
-            preds.clear();
-            for i in 0..n {
-                preds.push(classifier.predict_with(src.features(i), proba));
-            }
-        }
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
+        self.predict_rows(src, classifier, true, out);
         {
             let Self {
                 extractor,
@@ -449,26 +447,6 @@ impl FingerprintEngine {
                 }
             }
         }
-        if self.extractor.includes_feature_importance() {
-            let n_features = self.extractor.n_features();
-            let tail = out.len() - n_features;
-            let importance = &mut out[tail..];
-            let mut counted = 0usize;
-            let Self { contrib, proba, .. } = self;
-            for i in 0..n {
-                if classifier.contributions_with(src.features(i), contrib, proba) {
-                    for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
-                        *acc += c.abs();
-                    }
-                    counted += 1;
-                }
-            }
-            if counted > 0 {
-                for acc in importance.iter_mut() {
-                    *acc /= counted as f64;
-                }
-            }
-        }
         debug_assert_eq!(out.len(), self.extractor.schema().len());
     }
 
@@ -480,46 +458,61 @@ impl FingerprintEngine {
         repredict: bool,
         out: &mut Vec<f64>,
     ) {
-        let n = src.len();
-        let use_preds = if repredict {
-            let clf = classifier.expect("re-predicted extraction requires a classifier");
-            let Self { preds, proba, .. } = self;
-            preds.clear();
-            for i in 0..n {
-                preds.push(clf.predict_with(src.features(i), proba));
-            }
-            true
-        } else {
-            false
-        };
-        self.fill_sequences(src, use_preds);
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
+        match classifier {
+            Some(clf) => self.predict_rows(src, clf, repredict, out),
+            None => assert!(!repredict, "re-predicted extraction requires a classifier"),
+        }
+        self.fill_sequences(src, repredict);
         let src_len = self.kinds.len() * self.extractor.functions().len();
         self.eval_sources(&mut out[..src_len]);
-        if self.extractor.includes_feature_importance() {
-            let n_features = self.extractor.n_features();
-            let tail = out.len() - n_features;
-            let importance = &mut out[tail..];
-            if let Some(clf) = classifier {
-                let mut counted = 0usize;
-                let Self { contrib, proba, .. } = self;
-                for i in 0..n {
-                    if clf.contributions_with(src.features(i), contrib, proba) {
-                        for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
-                            *acc += c.abs();
-                        }
-                        counted += 1;
-                    }
+        debug_assert_eq!(out.len(), self.extractor.schema().len());
+    }
+
+    /// The one pass over the window's rows that asks `clf` anything: it
+    /// re-predicts each row into `self.preds` when `repredict` is set, and
+    /// when the schema has a feature-importance tail it sums each attributed
+    /// row's absolute contributions into the tail of `out` (zeroed by the
+    /// caller) in row order, then averages them. A row that is both
+    /// re-predicted and attributed costs one
+    /// [`Classifier::predict_contributions_with`] call.
+    fn predict_rows<S: FrameSource + ?Sized>(
+        &mut self,
+        src: &S,
+        clf: &dyn Classifier,
+        repredict: bool,
+        out: &mut [f64],
+    ) {
+        let n = src.len();
+        let Self { extractor, preds, proba, contrib, .. } = self;
+        preds.clear();
+        if !extractor.includes_feature_importance() {
+            if repredict {
+                preds.extend((0..n).map(|i| clf.predict_with(src.features(i), proba)));
+            }
+            return;
+        }
+        let tail = out.len() - extractor.n_features();
+        let importance = &mut out[tail..];
+        let mut counted = 0usize;
+        for i in 0..n {
+            let (label, attributed) = clf.predict_contributions_with(src.features(i), contrib, proba);
+            if repredict {
+                preds.push(label);
+            }
+            if attributed {
+                for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
+                    *acc += c.abs();
                 }
-                if counted > 0 {
-                    for acc in importance.iter_mut() {
-                        *acc /= counted as f64;
-                    }
-                }
+                counted += 1;
             }
         }
-        debug_assert_eq!(out.len(), self.extractor.schema().len());
+        if counted > 0 {
+            for acc in importance.iter_mut() {
+                *acc /= counted as f64;
+            }
+        }
     }
 
     /// The cached source-sequence pass: materialises every selected
