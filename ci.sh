@@ -19,6 +19,11 @@ cargo test -q
 echo "== property tests =="
 cargo test -q --features property-tests
 
+echo "== micro benches compile =="
+# benches/micro.rs is gated behind property-tests and no other step builds
+# it, so an API change could break it unnoticed.
+cargo check -q -p ficsum-bench --features property-tests --benches
+
 echo "== fault-injection tests (ficsum-serve) =="
 # Supervision, quarantine, checkpoint-restore and deadline behaviour under
 # deterministic injected faults (DESIGN.md "Fault tolerance & recovery").

@@ -59,8 +59,10 @@ fn bench_extraction() {
         black_box(full.extract(black_box(&w), Some(&tree)));
     });
     let mut engine = FingerprintEngine::new(full.clone());
+    let mut fp = Vec::new();
     report("fingerprint_engine_full_w75_d10", || {
-        black_box(engine.extract_repredicted(black_box(&w), &tree));
+        engine.extract(black_box(&w[..]), &tree, None, &mut fp);
+        black_box(&fp);
     });
     let er = FingerprintExtractor::error_rate_only(10);
     report("fingerprint_extract_er_w75_d10", || {

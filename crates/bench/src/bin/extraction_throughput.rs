@@ -22,8 +22,8 @@
 //! engine or the streaming path drops more than 20% below it, and
 //! `--assert-zero-alloc` (requires the `alloc-count` feature) fails when the
 //! streaming steady state allocates at all, or when a repository-scan step
-//! (push one frame, `static_scan_frames`, then `extract_with_scan` under
-//! two stored trees) does.
+//! (push one frame, `scan_static`, then `extract` with that scan under two
+//! stored trees) does.
 //!
 //! Usage: `extraction_throughput [--secs S] [--d D] [--window W] [--reps R]
 //! [--jsonl PATH] [--out PATH] [--check PATH] [--min-ratio F]
@@ -140,9 +140,14 @@ fn main() {
             .map(|o| o.observation.clone().labeled(clf.predict(o.features())))
             .collect()
     };
+    // Each engine call returns a fresh vector, as the legacy path does.
+    let extract = |engine: &mut FingerprintEngine| {
+        let mut fp = Vec::new();
+        engine.extract(&window[..], &tree, None, &mut fp);
+        fp
+    };
     let legacy_fp = extractor.extract(&relabel(&window, &tree), Some(&tree));
-    let engine_fp = engine.extract_repredicted(&window, &tree);
-    assert_eq!(legacy_fp, engine_fp, "engine must be bit-identical to the legacy path");
+    assert_eq!(legacy_fp, extract(&mut engine), "engine must be bit-identical to the legacy path");
 
     println!(
         "extraction throughput: d = {d}, window = {w} observations, \
@@ -160,7 +165,7 @@ fn main() {
             std::hint::black_box(extractor.extract(&relabeled, Some(&tree)));
         },
         || {
-            std::hint::black_box(engine.extract_repredicted(&window, &tree));
+            std::hint::black_box(extract(&mut engine));
         },
     );
     println!(
@@ -185,10 +190,10 @@ fn main() {
         secs,
         w as u64,
         || {
-            std::hint::black_box(engine.extract_repredicted(&window, &tree));
+            std::hint::black_box(extract(&mut engine));
         },
         || {
-            std::hint::black_box(timed_engine.extract_repredicted(&window, &tree));
+            std::hint::black_box(extract(&mut timed_engine));
         },
     );
     println!(
@@ -208,24 +213,18 @@ fn main() {
     // Streaming steady state: each iteration pushes one frame into a ring
     // window and fingerprints its active view — the framework's
     // per-extraction shape.
-    let tape: Vec<LabeledObservation> = synthetic_window(w * 4, d, 9)
-        .into_iter()
-        .map(|o| {
-            let p = tree.predict(o.features());
-            o.observation.labeled(p)
-        })
-        .collect();
+    let tape = synthetic_window(w * 4, d, 9);
     let mut fw = FrameWindows::new(w, 0, d);
     for o in tape.iter().take(w) {
-        fw.push(o.features(), o.label(), o.prediction);
+        fw.push(o.features(), o.label());
     }
     let mut fp = Vec::new();
     let mut next = 0usize;
     let mut stream_step = || {
         let o = &tape[next % tape.len()];
         next += 1;
-        fw.push(o.features(), o.label(), o.prediction);
-        engine.extract_frames_repredicted_into(&fw.a_view(), &tree, &mut fp);
+        fw.push(o.features(), o.label());
+        engine.extract(&fw.a_view(), &tree, None, &mut fp);
         std::hint::black_box(&fp);
     };
     let stream_batch = time_throughput(secs * reps as f64, w as u64, &mut stream_step);
@@ -275,11 +274,11 @@ fn main() {
         let mut scan_step = || {
             let o = &tape[next % tape.len()];
             next += 1;
-            fw.push(o.features(), o.label(), o.prediction);
+            fw.push(o.features(), o.label());
             let view = fw.a_view();
-            engine.static_scan_frames(&view, &mut scan);
+            engine.scan_static(&view, &mut scan);
             for stored in [&tree, &other_tree] {
-                engine.extract_with_scan(&view, &scan, stored, &mut fp);
+                engine.extract(&view, stored, Some(&scan), &mut fp);
                 std::hint::black_box(&fp);
             }
         };

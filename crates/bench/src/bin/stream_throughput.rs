@@ -10,12 +10,12 @@
 //! Usage:
 //!
 //! ```sh
-//! stream_throughput [--dataset NAME] [--seed S] [--steps N] [--threads T]
-//!                   [--repeat R] [--out PATH] [--check PATH] [--min-ratio F]
+//! stream_throughput [--dataset NAME] [--seed S] [--steps N] [--repeat R]
+//!                   [--out PATH] [--check PATH] [--min-ratio F]
 //! ```
 //!
-//! Defaults: STAGGER, seed 42, the full stream once, sequential, no file
-//! output. `--check` compares against the first line of the baseline file.
+//! Defaults: STAGGER, seed 42, the full stream once, no file output.
+//! `--check` compares against the first line of the baseline file.
 //! Latency per processed observation is sampled with a per-step monotonic
 //! clock read (~tens of ns against a multi-µs step).
 
@@ -35,7 +35,6 @@ struct Args {
     dataset: String,
     seed: u64,
     steps: usize,
-    threads: usize,
     repeat: usize,
     out: Option<String>,
     check: Option<String>,
@@ -49,7 +48,6 @@ fn parse_args() -> Args {
         dataset: "STAGGER".into(),
         seed: 42,
         steps: usize::MAX,
-        threads: 1,
         repeat: 3,
         out: None,
         check: None,
@@ -65,7 +63,6 @@ fn parse_args() -> Args {
             "--dataset" => a.dataset = val(i),
             "--seed" => a.seed = val(i).parse().expect("--seed"),
             "--steps" => a.steps = val(i).parse().expect("--steps"),
-            "--threads" => a.threads = val(i).parse().expect("--threads"),
             "--repeat" => a.repeat = val(i).parse().expect("--repeat"),
             "--out" => a.out = Some(val(i)),
             "--check" => a.check = Some(val(i)),
@@ -124,8 +121,7 @@ fn run_once(args: &Args) -> Measurement {
     let data: Vec<_> = stream.observations().iter().take(args.steps).cloned().collect();
     let mut builder = FicsumBuilder::new(stream.dims(), stream.n_classes())
         .variant(Variant::Full)
-        .config(FicsumConfig::default())
-        .parallelism(args.threads);
+        .config(FicsumConfig::default());
     if args.stages {
         builder = builder.recorder(Box::new(ficsum_obs::InMemoryRecorder::new()));
     }
@@ -215,12 +211,11 @@ fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64) -> String {
     let drift_max_us = m.drift_step_secs.iter().copied().fold(0.0f64, f64::max) * 1e6;
     let mut s = format!(
         "{{\"bench\":\"stream_throughput\",\"dataset\":\"{}\",\"seed\":{},\"steps\":{},\
-         \"threads\":{},\"steps_per_sec\":{:.1},\"drifts\":{},\
+         \"steps_per_sec\":{:.1},\"drifts\":{},\
          \"drift_step_us_mean\":{:.1},\"drift_step_us_max\":{:.1},\"accuracy\":{:.6}",
         args.dataset,
         args.seed,
         m.steps,
-        args.threads,
         steps_per_sec,
         m.drifts,
         drift_mean_us,
@@ -264,11 +259,10 @@ fn main() {
     let (steps_per_sec, m) = best.expect("at least one repeat");
 
     println!(
-        "stream_throughput: {} x{} steps, threads={} -> {:.0} steps/sec, \
+        "stream_throughput: {} x{} steps -> {:.0} steps/sec, \
          {} drifts (drift-step mean {:.1} us, max {:.1} us), accuracy {:.4}",
         args.dataset,
         m.steps,
-        args.threads,
         steps_per_sec,
         m.drifts,
         mean(&m.drift_step_secs) * 1e6,

@@ -2,8 +2,8 @@
 //! [`crate::Ficsum`] pipeline.
 //!
 //! A checkpoint is everything `process` reads or writes across steps — the
-//! active concept (fingerprints, classifier, similarity baseline, retained
-//! pairs), the stored repository, the frame ring, the drift detector, the
+//! active concept (fingerprint, `F_SC`, classifier, similarity baseline,
+//! retained pairs), the stored repository, the frame ring, the drift detector, the
 //! normaliser, the dynamic weights and every counter — deep-cloned into an
 //! owned, `Send + Sync` value with no live borrows. Restoring it through
 //! [`crate::SessionTemplate::restore`] yields a pipeline that continues
@@ -14,7 +14,7 @@
 //! What is deliberately *not* captured:
 //!
 //! * pure caches and scratch buffers ([`crate::similarity::CachedFingerprint`],
-//!   extraction scratch, the recurrence-scan worker pool) — they are
+//!   extraction scratch, the shared static scan) — they are
 //!   recomputed on demand from captured state and the recomputation is
 //!   bit-identical by construction;
 //! * the observability recorder and clock — observers, not state; a
@@ -108,7 +108,6 @@ pub struct SessionCheckpoint {
 
     pub(crate) active_id: ConceptId,
     pub(crate) active_fp: ConceptFingerprint,
-    pub(crate) active_fp_sel: ConceptFingerprint,
     pub(crate) active_clf: Box<dyn Classifier>,
     pub(crate) active_sim: EwStats,
     pub(crate) active_retained: Vec<RetainedPair>,

@@ -63,10 +63,10 @@ pub struct FicsumStats {
 }
 
 /// Whether a stored entry participates in the recurrence scan: its
-/// selection fingerprint must be trained and it must carry either enough
-/// similarity history or retained pairs to define an acceptance band.
+/// fingerprint must be trained and it must carry either enough similarity
+/// history or retained pairs to define an acceptance band.
 fn is_candidate(entry: &ConceptEntry) -> bool {
-    entry.sel_fingerprint.is_trained()
+    entry.fingerprint.is_trained()
         && (entry.sim_stats.count() >= 3 || !entry.retained.is_empty())
 }
 
@@ -77,9 +77,9 @@ fn is_candidate(entry: &ConceptEntry) -> bool {
 /// recurrence should score now, their spread the normal variation. Falls
 /// back to the raw recorded `mu_c`/`sigma_c` when no pairs were retained.
 ///
-/// A free function (not a method) so the parallel recurrence scan can call
-/// it from worker threads against disjoint entries; `sa`/`sb`/`sims` are
-/// caller-owned scratch reused across entries.
+/// A free function (not a method) so the recurrence scan can call it while
+/// it holds the engine mutably; `sa`/`sb`/`sims` are caller-owned scratch
+/// reused across entries.
 fn expected_similarity_with(
     config: &FicsumConfig,
     normalizer: &FingerprintNormalizer,
@@ -117,7 +117,6 @@ pub struct Ficsum {
     // Active concept (held outside the repository while active).
     active_id: ConceptId,
     active_fp: ConceptFingerprint,
-    active_fp_sel: ConceptFingerprint,
     active_clf: Box<dyn Classifier>,
     active_sim: EwStats,
     active_retained: Vec<RetainedPair>,
@@ -142,8 +141,9 @@ pub struct Ficsum {
     /// Cached scaled+weighted side of the active fingerprint's mean (the
     /// drift-detection comparisons).
     active_cache: CachedFingerprint,
-    /// Cached unit-weight side of the active *selection* fingerprint's
-    /// mean; travels with the concept into and out of the repository.
+    /// Cached unit-weight side of the active fingerprint's mean (the
+    /// selection comparisons); travels with the concept into and out of
+    /// the repository.
     active_sel_cache: CachedFingerprint,
     /// Scratch: fingerprint extracted from the active window.
     fp_a: Vec<f64>,
@@ -164,12 +164,6 @@ pub struct Ficsum {
     /// and the F_SC refresh) compute them once per window and splice the
     /// results into every per-classifier extraction.
     window_scan: StaticScan,
-    /// Per-worker engines for the parallel recurrence scan, built lazily on
-    /// the first multi-candidate drift and invalidated when the engine's
-    /// configuration changes.
-    scan_pool: Vec<FingerprintEngine>,
-    /// Worker threads for the recurrence scan (mirrors `FicsumBuilder::parallelism`).
-    scan_threads: usize,
     t: u64,
     pending_recheck: Option<PendingRecheck>,
     stats: FicsumStats,
@@ -213,7 +207,6 @@ impl Ficsum {
             normalizer: FingerprintNormalizer::new(dims),
             active_id,
             active_fp: ConceptFingerprint::new(dims),
-            active_fp_sel: ConceptFingerprint::new(dims),
             active_clf,
             active_sim: EwStats::new(config.sim_alpha),
             active_retained: Vec::new(),
@@ -235,8 +228,6 @@ impl Ficsum {
             proba_scratch: Vec::new(),
             drift_block: FrameBlock::new(),
             window_scan: StaticScan::new(),
-            scan_pool: Vec::new(),
-            scan_threads: 1,
             t: 0,
             pending_recheck: None,
             stats: FicsumStats::default(),
@@ -268,7 +259,6 @@ impl Ficsum {
             config: self.config,
             active_id: self.active_id,
             active_fp: self.active_fp.clone(),
-            active_fp_sel: self.active_fp_sel.clone(),
             active_clf: self.active_clf.clone(),
             active_sim: self.active_sim,
             active_retained: self.active_retained.clone(),
@@ -296,7 +286,7 @@ impl Ficsum {
     /// [`crate::SessionTemplate::restore`] performs that validation and is
     /// the public entry point.
     ///
-    /// Caches, scratch buffers and the scan pool start empty: they are pure
+    /// Caches, scratch buffers and the static scan start empty: they are pure
     /// functions of the captured state (version-keyed), so their first
     /// `ensure`/rebuild reproduces exactly what the original session held.
     /// The restored pipeline carries a [`NullRecorder`] until one is
@@ -313,7 +303,6 @@ impl Ficsum {
             factory,
             active_id: checkpoint.active_id,
             active_fp: checkpoint.active_fp.clone(),
-            active_fp_sel: checkpoint.active_fp_sel.clone(),
             active_clf: checkpoint.active_clf.clone(),
             active_sim: checkpoint.active_sim,
             active_retained: checkpoint.active_retained.clone(),
@@ -335,8 +324,6 @@ impl Ficsum {
             proba_scratch: Vec::new(),
             drift_block: FrameBlock::new(),
             window_scan: StaticScan::new(),
-            scan_pool: Vec::new(),
-            scan_threads: 1,
             t: checkpoint.t,
             pending_recheck: checkpoint
                 .pending_recheck
@@ -350,18 +337,6 @@ impl Ficsum {
             baseline_outliers: checkpoint.baseline_outliers,
             cooldown_until: checkpoint.cooldown_until,
         }
-    }
-
-    /// Sets the worker-thread count (see
-    /// [`crate::variant::FicsumBuilder::parallelism`]). The fingerprint
-    /// engine fans behaviour sources across the threads during extraction,
-    /// and the recurrence scan at drift fans stored concepts across them
-    /// (1 = sequential, the default). Both parallel paths are bit-identical
-    /// to sequential, so this only changes wall-clock behaviour.
-    pub(crate) fn configure_parallelism(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-        self.scan_threads = threads.max(1);
-        self.scan_pool.clear();
     }
 
     /// The fingerprint engine driving extraction.
@@ -494,27 +469,16 @@ impl Ficsum {
         {
             return None;
         }
-        if !self.active_fp_sel.is_trained() {
-            return None;
-        }
         let mut f_a = Vec::new();
-        self.engine.extract_frames_repredicted_into(
-            &self.frames.a_view(),
-            self.active_clf.as_ref(),
-            &mut f_a,
-        );
-        let sim_active = self.selection_similarity(&self.active_fp_sel.mean_vector(), &f_a);
+        self.engine.extract(&self.frames.a_view(), self.active_clf.as_ref(), None, &mut f_a);
+        let sim_active = self.selection_similarity(&self.active_fp.mean_vector(), &f_a);
         let sigma = self.active_sim.std_dev().max(self.config.sim_sigma_floor);
         let mut sum = 0.0;
         let mut n = 0.0;
         let mut f_as = Vec::new();
-        for entry in self.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
-            self.engine.extract_frames_repredicted_into(
-                &self.frames.a_view(),
-                entry.classifier.as_ref(),
-                &mut f_as,
-            );
-            let sim_i = self.selection_similarity(&entry.sel_fingerprint.mean_vector(), &f_as);
+        for entry in self.repo.iter().filter(|e| e.fingerprint.is_trained()) {
+            self.engine.extract(&self.frames.a_view(), entry.classifier.as_ref(), None, &mut f_as);
+            let sim_i = self.selection_similarity(&entry.fingerprint.mean_vector(), &f_as);
             sum += (sim_active - sim_i) / sigma;
             n += 1.0;
         }
@@ -551,10 +515,6 @@ impl Ficsum {
         let entry = ConceptEntry {
             id: self.active_id,
             fingerprint: std::mem::replace(&mut self.active_fp, ConceptFingerprint::new(dims)),
-            sel_fingerprint: std::mem::replace(
-                &mut self.active_fp_sel,
-                ConceptFingerprint::new(dims),
-            ),
             classifier: std::mem::replace(&mut self.active_clf, self.factory.build()),
             sim_stats: std::mem::replace(
                 &mut self.active_sim,
@@ -580,7 +540,6 @@ impl Ficsum {
         let entry = self.repo.take(id).expect("selection returned stored id");
         self.active_id = entry.id;
         self.active_fp = entry.fingerprint;
-        self.active_fp_sel = entry.sel_fingerprint;
         self.active_clf = entry.classifier;
         self.active_sim = EwStats::new(self.config.sim_alpha);
         self.active_retained = entry.retained;
@@ -594,25 +553,12 @@ impl Ficsum {
         let dims = self.engine.schema().len();
         self.active_id = self.repo.allocate_id();
         self.active_fp = ConceptFingerprint::new(dims);
-        self.active_fp_sel = ConceptFingerprint::new(dims);
         self.active_clf = self.factory.build();
         self.active_sim = EwStats::new(self.config.sim_alpha);
         self.active_retained = Vec::new();
         self.active_sc = ConceptFingerprint::new(dims);
         self.active_sel_cache.invalidate();
         self.active_cache.invalidate();
-    }
-
-    /// Grows the scan-worker engine pool to `n` single-threaded clones of
-    /// the main engine (same extractor, no span clock — the workers' cost is
-    /// attributed to the selection span).
-    fn ensure_scan_pool(&mut self, n: usize) {
-        while self.scan_pool.len() < n {
-            let mut e = self.engine.clone();
-            e.set_threads(1);
-            e.set_clock(None);
-            self.scan_pool.push(e);
-        }
     }
 
     /// Finds the best stored recurrence candidate for `window`.
@@ -625,13 +571,8 @@ impl Ficsum {
     /// weights) but whose relative identity is unambiguous; without it the
     /// repository fragments, which is fatal to concept tracking (C-F1).
     ///
-    /// Scoring a candidate — re-predict the window through its classifier,
-    /// extract, compare — is independent per candidate, so with
-    /// [`crate::variant::FicsumBuilder::parallelism`] > 1 candidates are fanned across a
-    /// scoped worker pool. Workers write disjoint slots that are merged in
-    /// repository order, and the acceptance fold runs over the merged list
-    /// exactly as the sequential loop would: the outcome is bit-identical
-    /// whichever thread scored an entry.
+    /// Scoring a candidate re-predicts the window through its classifier,
+    /// extracts and compares; candidates are scored in repository order.
     fn select_best(&mut self, window: &FrameBlock) -> Option<(ConceptId, f64)> {
         let norm_v = self.normalizer.version();
         // Phase 0: refresh each candidate's cached selection side (cheap
@@ -641,8 +582,8 @@ impl Ficsum {
             let Self { repo, normalizer, .. } = self;
             for entry in repo.iter_mut() {
                 if is_candidate(entry) {
-                    let key = (0, norm_v, entry.sel_fingerprint.version());
-                    entry.sel_cache.ensure(key, &entry.sel_fingerprint, normalizer, None);
+                    let key = (0, norm_v, entry.fingerprint.version());
+                    entry.sel_cache.ensure(key, &entry.fingerprint, normalizer, None);
                 }
             }
         }
@@ -654,60 +595,22 @@ impl Ficsum {
         // same whichever stored classifier re-predicts it, so they are
         // evaluated once here and spliced into every candidate extraction
         // (and the recheck's incumbent extraction) below.
-        self.engine.static_scan_frames(window, &mut self.window_scan);
+        self.engine.scan_static(window, &mut self.window_scan);
         // Phase 1: score every candidate -> (id, sim, mu, sigma) in
         // repository order.
         let mut scored: Vec<(ConceptId, f64, f64, f64)> = Vec::with_capacity(n_cands);
-        if self.scan_threads <= 1 || n_cands < 2 {
-            let Self { engine, repo, normalizer, config, window_scan, .. } = self;
-            let (normalizer, config, scan) = (&*normalizer, &*config, &*window_scan);
-            let (mut fp, mut scaled) = (Vec::new(), Vec::new());
-            let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
-            for entry in repo.iter().filter(|e| is_candidate(e)) {
-                engine.extract_with_scan(window, scan, entry.classifier.as_ref(), &mut fp);
-                normalizer.scale_into(&fp, &mut scaled);
-                let sim = entry.sel_cache.similarity_scaled(&scaled, None);
-                let (mu, sigma) = expected_similarity_with(
-                    config, normalizer, entry, &mut sa, &mut sb, &mut sims,
-                );
-                scored.push((entry.id, sim, mu, sigma));
-            }
-        } else {
-            let n_workers = self.scan_threads.min(n_cands);
-            self.ensure_scan_pool(n_workers);
-            let Self { scan_pool, repo, normalizer, config, window_scan, .. } = self;
-            let (normalizer, config, scan) = (&*normalizer, &*config, &*window_scan);
-            let cands: Vec<&ConceptEntry> = repo.iter().filter(|e| is_candidate(e)).collect();
-            let mut slots: Vec<Option<(ConceptId, f64, f64, f64)>> = vec![None; cands.len()];
-            let per = cands.len().div_ceil(n_workers);
-            std::thread::scope(|scope| {
-                for (engine, (chunk, out)) in
-                    scan_pool.iter_mut().zip(cands.chunks(per).zip(slots.chunks_mut(per)))
-                {
-                    scope.spawn(move || {
-                        let (mut fp, mut scaled) = (Vec::new(), Vec::new());
-                        let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
-                        for (slot, entry) in out.iter_mut().zip(chunk) {
-                            engine.extract_with_scan(
-                                window,
-                                scan,
-                                entry.classifier.as_ref(),
-                                &mut fp,
-                            );
-                            normalizer.scale_into(&fp, &mut scaled);
-                            let sim = entry.sel_cache.similarity_scaled(&scaled, None);
-                            let (mu, sigma) = expected_similarity_with(
-                                config, normalizer, entry, &mut sa, &mut sb, &mut sims,
-                            );
-                            *slot = Some((entry.id, sim, mu, sigma));
-                        }
-                    });
-                }
-            });
-            scored.extend(slots.into_iter().flatten());
-            debug_assert_eq!(scored.len(), n_cands, "every scan slot must be filled");
+        let Self { engine, repo, normalizer, config, window_scan, .. } = self;
+        let (mut fp, mut scaled) = (Vec::new(), Vec::new());
+        let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
+        for entry in repo.iter().filter(|e| is_candidate(e)) {
+            engine.extract(window, entry.classifier.as_ref(), Some(&*window_scan), &mut fp);
+            normalizer.scale_into(&fp, &mut scaled);
+            let sim = entry.sel_cache.similarity_scaled(&scaled, None);
+            let (mu, sigma) =
+                expected_similarity_with(config, normalizer, entry, &mut sa, &mut sb, &mut sims);
+            scored.push((entry.id, sim, mu, sigma));
         }
-        // Acceptance fold, identical to the sequential reference loop.
+        // Acceptance fold: the best band acceptor in repository order.
         let mut banded: Option<(ConceptId, f64)> = None;
         let mut all: Vec<(ConceptId, f64, f64)> = Vec::with_capacity(scored.len());
         for (id, sim, mu, sigma) in scored {
@@ -775,15 +678,15 @@ impl Ficsum {
         let Some((id, best_sim)) = best else { return };
         // Score the incumbent on the same pure window; a fresh incumbent
         // with no history scores 0 (it cannot defend itself yet).
-        let incumbent_sim = if self.active_fp_sel.is_trained() {
+        let incumbent_sim = if self.active_fp.is_trained() {
             {
                 // `select_best` just built the static scan for this same
                 // window (it returned Some, so candidates existed).
                 let Self { engine, active_clf, fp_tmp, window_scan, .. } = self;
-                engine.extract_with_scan(window, &*window_scan, active_clf.as_ref(), fp_tmp);
+                engine.extract(window, active_clf.as_ref(), Some(&*window_scan), fp_tmp);
             }
-            let key = (0, self.normalizer.version(), self.active_fp_sel.version());
-            self.active_sel_cache.ensure(key, &self.active_fp_sel, &self.normalizer, None);
+            let key = (0, self.normalizer.version(), self.active_fp.version());
+            self.active_sel_cache.ensure(key, &self.active_fp, &self.normalizer, None);
             self.normalizer.scale_into(&self.fp_tmp, &mut self.scaled_q);
             self.active_sel_cache.similarity_scaled(&self.scaled_q, None)
         } else {
@@ -827,7 +730,7 @@ impl Ficsum {
         debug_assert_eq!(x.len(), self.n_features);
         let prediction = self.active_clf.predict_with(x, &mut self.proba_scratch);
         self.active_clf.train(x, y);
-        self.frames.push(x, y, prediction);
+        self.frames.push(x, y);
         self.t += 1;
 
         // Fingerprint plasticity: a significant classifier change (a new
@@ -844,10 +747,9 @@ impl Ficsum {
             && self.active_fp.is_trained() {
                 self.last_plasticity = self.t;
                 {
-                    let Self { engine, active_fp, active_fp_sel, .. } = self;
+                    let Self { engine, active_fp, .. } = self;
                     let schema = engine.schema();
                     active_fp.reset_dims(|i| schema.dims[i].depends_on_classifier());
-                    active_fp_sel.reset_dims(|i| schema.dims[i].depends_on_classifier());
                 }
                 self.stats.n_plasticity_resets += 1;
                 self.emit(StreamEvent::PlasticityReset);
@@ -910,11 +812,7 @@ impl Ficsum {
                 let t0 = self.span_start();
                 {
                     let Self { engine, frames, active_clf, fp_b, .. } = self;
-                    engine.extract_frames_repredicted_into(
-                        &frames.stale_view(),
-                        active_clf.as_ref(),
-                        fp_b,
-                    );
+                    engine.extract(&frames.stale_view(), active_clf.as_ref(), None, fp_b);
                 }
                 self.span_end(Stage::Extract, t0);
                 self.emit(StreamEvent::FingerprintExtracted { dims: self.fp_b.len() as u64 });
@@ -967,7 +865,6 @@ impl Ficsum {
                 }
                 if incorporate {
                     self.active_fp.incorporate(&self.fp_b);
-                    self.active_fp_sel.incorporate(&self.fp_b);
                 }
                 self.span_end(Stage::Similarity, t0);
             }
@@ -976,11 +873,7 @@ impl Ficsum {
                 let t0 = self.span_start();
                 {
                     let Self { engine, frames, active_clf, fp_a, .. } = self;
-                    engine.extract_frames_repredicted_into(
-                        &frames.a_view(),
-                        active_clf.as_ref(),
-                        fp_a,
-                    );
+                    engine.extract(&frames.a_view(), active_clf.as_ref(), None, fp_a);
                 }
                 self.span_end(Stage::Extract, t0);
                 self.emit(StreamEvent::FingerprintExtracted { dims: self.fp_a.len() as u64 });
@@ -1002,23 +895,18 @@ impl Ficsum {
                     .active_cache
                     .similarity_scaled(&self.scaled_q, Some(&self.weights.values));
                 self.emit(StreamEvent::SimilarityObserved { value: sim_a });
-                // Retain occasional selection-space pairs: the selection
-                // fingerprint's mean against this window re-predicted
-                // through the classifier — exactly the comparison model
-                // selection performs — so re-scoring them later calibrates
-                // the acceptance band (Section IV's record re-basing).
-                // `scaled_q` still holds this window's scaled fingerprint,
-                // which is exactly the selection query side.
+                // Retain occasional selection-space pairs: the fingerprint's
+                // mean against this window re-predicted through the
+                // classifier, compared under unit weights — exactly the
+                // comparison model selection performs — so re-scoring them
+                // later calibrates the acceptance band (Section IV's record
+                // re-basing). `scaled_q` still holds this window's scaled
+                // fingerprint, which is exactly the selection query side.
                 if self.t.is_multiple_of(8 * self.config.fingerprint_gap as u64)
-                    && self.active_fp_sel.is_trained()
+                    && self.active_fp.is_trained()
                 {
-                    let sel_key = (0, self.normalizer.version(), self.active_fp_sel.version());
-                    self.active_sel_cache.ensure(
-                        sel_key,
-                        &self.active_fp_sel,
-                        &self.normalizer,
-                        None,
-                    );
+                    let sel_key = (0, self.normalizer.version(), self.active_fp.version());
+                    self.active_sel_cache.ensure(sel_key, &self.active_fp, &self.normalizer, None);
                     let sim_sel = self.active_sel_cache.similarity_scaled(&self.scaled_q, None);
                     // Ring-recycle the oldest pair's buffers once the cap is
                     // reached; steady state allocates nothing.
@@ -1028,7 +916,7 @@ impl Ficsum {
                     } else {
                         (Vec::new(), Vec::new())
                     };
-                    self.active_fp_sel.mean_into(&mut a);
+                    self.active_fp.mean_into(&mut a);
                     b.clear();
                     b.extend_from_slice(&self.fp_a);
                     self.active_retained.push(RetainedPair { a, b, sim_then: sim_sel });
@@ -1115,14 +1003,9 @@ impl Ficsum {
                 // One static scan of `A` serves every stored classifier:
                 // only the classifier-dependent sources are re-evaluated
                 // per entry.
-                engine.static_scan_frames(&view, window_scan);
+                engine.scan_static(&view, window_scan);
                 for entry in repo.iter_mut() {
-                    engine.extract_with_scan(
-                        &view,
-                        &*window_scan,
-                        entry.classifier.as_ref(),
-                        fp_tmp,
-                    );
+                    engine.extract(&view, entry.classifier.as_ref(), Some(&*window_scan), fp_tmp);
                     entry.sc_fingerprint.incorporate(fp_tmp);
                 }
             }
@@ -1296,42 +1179,5 @@ mod tests {
         }
         let acc = correct as f64 / n as f64;
         assert!(acc > 0.70, "STAGGER accuracy {acc}");
-    }
-
-    #[test]
-    fn parallel_recurrence_scan_matches_sequential() {
-        // Same stream, threads = 1 vs threads = 4; every step outcome must
-        // be bit-identical (drifts, selections, active concept ids).
-        use ficsum_synth::{ConceptGenerator, LabelledConcept, UniformSampler};
-        let build = |threads: usize| {
-            FicsumBuilder::new(3, 2)
-                .config(quick_config())
-                .parallelism(threads)
-                .build()
-                .unwrap()
-        };
-        let mut seq = build(1);
-        let mut par = build(4);
-        let mut gens: Vec<Box<dyn ConceptGenerator>> = (0..3)
-            .map(|c| {
-                Box::new(LabelledConcept::new(
-                    UniformSampler::new(3, 11 + c as u64),
-                    StaggerLabeller::new(c % 3),
-                    0.0,
-                    77 + c as u64,
-                )) as Box<dyn ConceptGenerator>
-            })
-            .collect();
-        for seg in 0..9 {
-            let gen = &mut gens[seg % 3];
-            for _ in 0..400 {
-                let o = gen.generate();
-                let a = seq.process(&o.features, o.label);
-                let b = par.process(&o.features, o.label);
-                assert_eq!(a, b, "outcomes diverged at t={}", seq.t);
-            }
-        }
-        assert!(seq.stats().n_drifts >= 1, "test must exercise model selection");
-        assert_eq!(seq.stats(), par.stats());
     }
 }

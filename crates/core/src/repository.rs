@@ -33,17 +33,13 @@ pub struct RetainedPair {
 pub struct ConceptEntry {
     /// Stable identifier.
     pub id: ConceptId,
-    /// The concept fingerprint `F_c` built from *online* (prequential)
-    /// predictions — the representation drift detection compares against.
+    /// The concept fingerprint `F_c`: the running distribution of the
+    /// concept's buffer-window fingerprints, each window re-predicted
+    /// through the concept's classifier (Algorithm 1 line 17). Drift
+    /// detection, the dynamic weights and model selection all compare
+    /// against it; selection re-predicts its query window the same way
+    /// (line 29).
     pub fingerprint: ConceptFingerprint,
-    /// The concept fingerprint built from windows *re-predicted* through
-    /// the classifier — the representation model selection compares
-    /// against. Algorithm 1 computes `F_AS` by re-predicting the query
-    /// window (line 29), so the stored side must be built the same way;
-    /// the online fingerprint meanwhile must match the online-labelled
-    /// windows the detector sees (line 11). One representation cannot be
-    /// consistent with both, hence the pair.
-    pub sel_fingerprint: ConceptFingerprint,
     /// The classifier `I_c` trained on this concept.
     pub classifier: Box<dyn Classifier>,
     /// Distribution of `Sim(F_c, F_B)` under recent stationary conditions
@@ -58,9 +54,10 @@ pub struct ConceptEntry {
     pub retained: Vec<RetainedPair>,
     /// Timestamp of last activation (for LRU eviction).
     pub last_active: u64,
-    /// Cached scaled/weighted side of `sel_fingerprint`'s mean vector,
-    /// reused across recurrence scans while fingerprint and normaliser are
-    /// unchanged. Pure cache: carries no semantic state.
+    /// Cached scaled, unit-weight side of `fingerprint`'s mean vector (the
+    /// selection comparison), reused across recurrence scans while
+    /// fingerprint and normaliser are unchanged. Pure cache: carries no
+    /// semantic state.
     pub sel_cache: CachedFingerprint,
 }
 
@@ -70,7 +67,6 @@ impl ConceptEntry {
         Self {
             id,
             fingerprint: ConceptFingerprint::new(dims),
-            sel_fingerprint: ConceptFingerprint::new(dims),
             classifier,
             sim_stats: EwStats::default(),
             sc_fingerprint: ConceptFingerprint::new(dims),

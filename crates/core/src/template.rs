@@ -34,6 +34,8 @@ type FactoryFn = dyn Fn() -> Box<dyn ClassifierFactory> + Send + Sync;
 /// stamped from the same template are bit-identical in behaviour: driven
 /// with the same observations they produce the same
 /// [`crate::StepOutcome`]s (pinned by the template-cloning property test).
+/// A session runs on the thread that drives it; a sharded server
+/// parallelises across sessions.
 ///
 /// ```
 /// use ficsum_core::{FicsumConfig, SessionTemplate, Variant};
@@ -50,7 +52,6 @@ pub struct SessionTemplate {
     n_classes: usize,
     config: FicsumConfig,
     variant: Variant,
-    parallelism: usize,
     factory: Arc<FactoryFn>,
 }
 
@@ -70,7 +71,6 @@ impl SessionTemplate {
             n_classes,
             config,
             variant,
-            parallelism: 1,
             factory: Arc::new(move || {
                 Box::new(move || {
                     Box::new(HoeffdingTree::new(n_features, n_classes)) as Box<dyn Classifier>
@@ -87,15 +87,6 @@ impl SessionTemplate {
         make: impl Fn() -> Box<dyn ClassifierFactory> + Send + Sync + 'static,
     ) -> Self {
         self.factory = Arc::new(make);
-        self
-    }
-
-    /// Per-session worker threads (see
-    /// [`crate::variant::FicsumBuilder::parallelism`]). A sharded server
-    /// normally keeps this at 1 — its parallelism is across sessions.
-    #[must_use]
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
         self
     }
 
@@ -123,18 +114,14 @@ impl SessionTemplate {
     /// validated at template construction and the extractor is derived from
     /// the same `n_features` the pipeline is checked against.
     pub fn instantiate(&self) -> Ficsum {
-        let mut ficsum = Ficsum::from_parts(
+        Ficsum::from_parts(
             self.n_features,
             self.n_classes,
             self.config,
             self.variant.extractor(self.n_features),
             (self.factory)(),
         )
-        .expect("template was validated at construction");
-        if self.parallelism != 1 {
-            ficsum.configure_parallelism(self.parallelism);
-        }
-        ficsum
+        .expect("template was validated at construction")
     }
 
     /// Rehydrates a session from a [`SessionCheckpoint`] captured with
@@ -147,18 +134,11 @@ impl SessionTemplate {
     /// The restored pipeline continues **bit-identically**: driven with the
     /// observations the original session would have seen next, it produces
     /// the same [`crate::StepOutcome`]s and statistics as the uninterrupted
-    /// original (pinned by the snapshot→restore→replay property test). The
-    /// template's parallelism is applied to the restored session; it is
-    /// bit-identical to sequential, so it may differ freely from the
-    /// capturing template.
+    /// original (pinned by the snapshot→restore→replay property test).
     pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Ficsum, RestoreError> {
         self.validate_checkpoint(checkpoint)?;
         let extractor = self.variant.extractor(self.n_features);
-        let mut ficsum = Ficsum::from_checkpoint(checkpoint, extractor, (self.factory)());
-        if self.parallelism != 1 {
-            ficsum.configure_parallelism(self.parallelism);
-        }
-        Ok(ficsum)
+        Ok(Ficsum::from_checkpoint(checkpoint, extractor, (self.factory)()))
     }
 
     /// Checks whether [`SessionTemplate::restore`] would accept
@@ -199,7 +179,6 @@ impl std::fmt::Debug for SessionTemplate {
             .field("n_features", &self.n_features)
             .field("n_classes", &self.n_classes)
             .field("variant", &self.variant)
-            .field("parallelism", &self.parallelism)
             .finish_non_exhaustive()
     }
 }

@@ -66,7 +66,9 @@ impl Variant {
 /// built [`Ficsum`] is immutable-by-default (drive it with
 /// [`Ficsum::process`]). The 0.4.0 post-build `set_*` shims are gone; the
 /// one supported post-build hook is [`Ficsum::attach_recorder`], for
-/// drivers that receive an already-built pipeline.
+/// drivers that receive an already-built pipeline. A pipeline has no
+/// execution settings: it runs on the thread that calls `process`, and a
+/// server parallelises across sessions, not within one.
 pub struct FicsumBuilder {
     n_features: usize,
     n_classes: usize,
@@ -75,7 +77,6 @@ pub struct FicsumBuilder {
     factory: Option<Box<dyn ClassifierFactory>>,
     recorder: Option<Box<dyn Recorder>>,
     clock: Option<Arc<dyn Clock>>,
-    parallelism: usize,
 }
 
 impl FicsumBuilder {
@@ -89,7 +90,6 @@ impl FicsumBuilder {
             factory: None,
             recorder: None,
             clock: None,
-            parallelism: 1,
         }
     }
 
@@ -127,16 +127,6 @@ impl FicsumBuilder {
         self
     }
 
-    /// Number of worker threads the pipeline may use (default 1 =
-    /// sequential): the fingerprint engine fans behaviour sources across
-    /// them during extraction, and the recurrence scan at drift fans stored
-    /// concepts across them. Both parallel paths are bit-identical to
-    /// sequential, so this only changes wall-clock behaviour.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
-        self
-    }
-
     /// Builds the framework instance.
     ///
     /// Fails with a [`ConfigError`] if the hyper-parameters are invalid
@@ -160,9 +150,6 @@ impl FicsumBuilder {
         }
         if let Some(recorder) = self.recorder {
             ficsum.attach_recorder(recorder);
-        }
-        if self.parallelism != 1 {
-            ficsum.configure_parallelism(self.parallelism);
         }
         Ok(ficsum)
     }

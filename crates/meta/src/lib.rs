@@ -39,7 +39,4 @@ pub use engine::{FingerprintEngine, StaticScan};
 pub use extractor::{DimensionInfo, FingerprintExtractor, FingerprintSchema, SourceSelection};
 pub use functions::{kurtosis, mean, skewness, std_dev, turning_point_rate, MetaFunction};
 pub use mutual_info::{lagged_mutual_information, lagged_mutual_information_scratch, MiScratch};
-pub use sources::{
-    behaviour_sources, error_distances, error_distances_into, source_sequence,
-    source_sequence_into, SourceKind,
-};
+pub use sources::{behaviour_sources, error_distances_into, source_sequence_into, SourceKind};

@@ -60,13 +60,6 @@ pub fn error_distances_into(window: &[LabeledObservation], out: &mut Vec<f64>) {
     }
 }
 
-/// Allocating convenience wrapper around [`error_distances_into`].
-pub fn error_distances(window: &[LabeledObservation]) -> Vec<f64> {
-    let mut out = Vec::new();
-    error_distances_into(window, &mut out);
-    out
-}
-
 /// Extracts the univariate sequence for one behaviour source into `out`
 /// (cleared first), reusing its capacity.
 pub fn source_sequence_into(window: &[LabeledObservation], kind: SourceKind, out: &mut Vec<f64>) {
@@ -89,13 +82,6 @@ pub fn source_sequence_into(window: &[LabeledObservation], kind: SourceKind, out
         }
         SourceKind::ErrorDistances => error_distances_into(window, out),
     }
-}
-
-/// Allocating convenience wrapper around [`source_sequence_into`].
-pub fn source_sequence(window: &[LabeledObservation], kind: SourceKind) -> Vec<f64> {
-    let mut out = Vec::new();
-    source_sequence_into(window, kind, &mut out);
-    out
 }
 
 /// All `d + 4` behaviour sources in fingerprint order.
@@ -123,15 +109,21 @@ mod tests {
         ]
     }
 
+    fn sequence(w: &[LabeledObservation], kind: SourceKind) -> Vec<f64> {
+        let mut out = Vec::new();
+        source_sequence_into(w, kind, &mut out);
+        out
+    }
+
     #[test]
     fn paper_example_sources() {
         let w = paper_window();
-        assert_eq!(source_sequence(&w, SourceKind::Feature(0)), vec![1.0, 0.5, 0.75]);
-        assert_eq!(source_sequence(&w, SourceKind::Feature(1)), vec![5.0, 7.0, 6.0]);
-        assert_eq!(source_sequence(&w, SourceKind::Labels), vec![1.0, 1.0, 0.0]);
-        assert_eq!(source_sequence(&w, SourceKind::Predictions), vec![1.0, 0.0, 1.0]);
-        assert_eq!(source_sequence(&w, SourceKind::Errors), vec![0.0, 1.0, 1.0]);
-        assert_eq!(source_sequence(&w, SourceKind::ErrorDistances), vec![1.0]);
+        assert_eq!(sequence(&w, SourceKind::Feature(0)), vec![1.0, 0.5, 0.75]);
+        assert_eq!(sequence(&w, SourceKind::Feature(1)), vec![5.0, 7.0, 6.0]);
+        assert_eq!(sequence(&w, SourceKind::Labels), vec![1.0, 1.0, 0.0]);
+        assert_eq!(sequence(&w, SourceKind::Predictions), vec![1.0, 0.0, 1.0]);
+        assert_eq!(sequence(&w, SourceKind::Errors), vec![0.0, 1.0, 1.0]);
+        assert_eq!(sequence(&w, SourceKind::ErrorDistances), vec![1.0]);
     }
 
     #[test]
@@ -141,7 +133,7 @@ mod tests {
         let w = paper_window();
         let means: Vec<f64> = behaviour_sources(2)
             .into_iter()
-            .map(|k| crate::functions::mean(&source_sequence(&w, k)))
+            .map(|k| crate::functions::mean(&sequence(&w, k)))
             .collect();
         let expected = [0.75, 6.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0, 1.0];
         for (got, want) in means.iter().zip(expected) {
@@ -152,22 +144,9 @@ mod tests {
     #[test]
     fn no_errors_means_empty_distances() {
         let w = vec![LabeledObservation::new(vec![0.0], 1, 1); 5];
-        assert!(error_distances(&w).is_empty());
-    }
-
-    #[test]
-    fn into_variants_match_and_reuse_capacity() {
-        let w = paper_window();
-        let mut buf = Vec::new();
-        for kind in behaviour_sources(2) {
-            source_sequence_into(&w, kind, &mut buf);
-            assert_eq!(buf, source_sequence(&w, kind), "{kind:?}");
-        }
-        let cap = buf.capacity();
-        for kind in behaviour_sources(2) {
-            source_sequence_into(&w, kind, &mut buf);
-        }
-        assert_eq!(buf.capacity(), cap, "warm buffer must not reallocate");
+        let mut out = vec![1.0];
+        error_distances_into(&w, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

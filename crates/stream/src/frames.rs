@@ -8,10 +8,12 @@
 //! windows are views over the same most-recent `b + w` frames of the
 //! stream.
 //!
-//! [`FrameStore`] keeps exactly those frames once, as three parallel
-//! columns (a flat row-major `f64` feature arena, labels, predictions) in a
-//! fixed ring. [`FrameWindows`] layers the two windows of Algorithm 1 over
-//! it as *views by age*; pushing a frame is one ring write.
+//! [`FrameStore`] keeps exactly those frames once, as two parallel
+//! columns (a flat row-major `f64` feature arena and the labels) in a
+//! fixed ring. No prediction is stored: extraction re-predicts every
+//! window through the classifier it scores the window under.
+//! [`FrameWindows`] layers the two windows of Algorithm 1 over it as
+//! *views by age*; pushing a frame is one ring write.
 //! [`FrameSource`] is the read interface shared by ring views, owned
 //! [`FrameBlock`] snapshots and plain `[LabeledObservation]` slices, so
 //! extraction code is written once and runs allocation-free over any of
@@ -33,9 +35,6 @@ pub trait FrameSource {
 
     /// Ground-truth label of frame `i`.
     fn label(&self, i: usize) -> usize;
-
-    /// Prequential prediction recorded with frame `i`.
-    fn prediction(&self, i: usize) -> usize;
 
     /// Whether the source holds no frames.
     fn is_empty(&self) -> bool {
@@ -59,15 +58,11 @@ impl FrameSource for [LabeledObservation] {
     fn label(&self, i: usize) -> usize {
         self[i].label()
     }
-
-    fn prediction(&self, i: usize) -> usize {
-        self[i].prediction
-    }
 }
 
 /// A fixed-capacity ring of the most recent frames, stored as parallel
-/// columns: features in one flat row-major `f64` arena, labels and
-/// predictions alongside. Rows are addressed by *age* (0 = newest).
+/// columns: features in one flat row-major `f64` arena, labels
+/// alongside. Rows are addressed by *age* (0 = newest).
 #[derive(Debug, Clone)]
 pub struct FrameStore {
     dims: usize,
@@ -78,7 +73,6 @@ pub struct FrameStore {
     pushed: u64,
     features: Vec<f64>,
     labels: Vec<usize>,
-    preds: Vec<usize>,
 }
 
 impl FrameStore {
@@ -92,17 +86,15 @@ impl FrameStore {
             pushed: 0,
             features: vec![0.0; rows * dims],
             labels: vec![0; rows],
-            preds: vec![0; rows],
         }
     }
 
     /// Overwrites the oldest slot with a new frame.
-    pub fn push(&mut self, x: &[f64], label: usize, prediction: usize) {
+    pub fn push(&mut self, x: &[f64], label: usize) {
         debug_assert_eq!(x.len(), self.dims);
         let at = self.head * self.dims;
         self.features[at..at + self.dims].copy_from_slice(x);
         self.labels[self.head] = label;
-        self.preds[self.head] = prediction;
         self.head = (self.head + 1) % self.rows;
         self.pushed += 1;
     }
@@ -148,11 +140,6 @@ impl FrameStore {
         self.labels[self.slot_of_age(age)]
     }
 
-    /// Prediction of the frame `age` pushes ago.
-    pub fn prediction_at_age(&self, age: usize) -> usize {
-        self.preds[self.slot_of_age(age)]
-    }
-
     /// A borrowed window over the frames with ages
     /// `[newest_age, newest_age + len)`.
     pub fn view(&self, newest_age: usize, len: usize) -> FrameView<'_> {
@@ -161,8 +148,7 @@ impl FrameStore {
     }
 }
 
-/// A borrowed, age-addressed window over a [`FrameStore`]; cheap to copy
-/// and safe to share across scan worker threads.
+/// A borrowed, age-addressed window over a [`FrameStore`]; cheap to copy.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameView<'a> {
     store: &'a FrameStore,
@@ -193,10 +179,6 @@ impl FrameSource for FrameView<'_> {
     fn label(&self, i: usize) -> usize {
         self.store.label_at_age(self.age_of(i))
     }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.store.prediction_at_age(self.age_of(i))
-    }
 }
 
 /// An owned, contiguous SoA snapshot of a frame window. The drift path
@@ -209,7 +191,6 @@ pub struct FrameBlock {
     len: usize,
     features: Vec<f64>,
     labels: Vec<usize>,
-    preds: Vec<usize>,
 }
 
 impl FrameBlock {
@@ -224,11 +205,9 @@ impl FrameBlock {
         self.len = src.len();
         self.features.clear();
         self.labels.clear();
-        self.preds.clear();
         for i in 0..self.len {
             self.features.extend_from_slice(src.features(i));
             self.labels.push(src.label(i));
-            self.preds.push(src.prediction(i));
         }
     }
 
@@ -237,7 +216,6 @@ impl FrameBlock {
         self.len = 0;
         self.features.clear();
         self.labels.clear();
-        self.preds.clear();
     }
 }
 
@@ -257,10 +235,6 @@ impl FrameSource for FrameBlock {
 
     fn label(&self, i: usize) -> usize {
         self.labels[i]
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.preds[i]
     }
 }
 
@@ -340,8 +314,8 @@ impl FrameWindows {
 
     /// Pushes one frame into the shared arena; both windows' membership
     /// follows from the frame ages.
-    pub fn push(&mut self, x: &[f64], label: usize, prediction: usize) {
-        self.store.push(x, label, prediction);
+    pub fn push(&mut self, x: &[f64], label: usize) {
+        self.store.push(x, label);
     }
 
     /// Logically empties the delay buffer and stale window (the ring keeps
@@ -367,8 +341,8 @@ mod tests {
     use super::*;
     use crate::window::{BufferedWindow, SlidingWindow};
 
-    fn obs(i: usize) -> (Vec<f64>, usize, usize) {
-        (vec![i as f64, (i as f64 * 0.7).sin()], i % 3, (i + 1) % 3)
+    fn obs(i: usize) -> (Vec<f64>, usize) {
+        (vec![i as f64, (i as f64 * 0.7).sin()], i % 3)
     }
 
     /// Reference pair of owned-observation windows driven in lockstep with
@@ -380,11 +354,11 @@ mod tests {
         let mut legacy_a = SlidingWindow::new(w);
         let mut legacy_b = BufferedWindow::new(b, w);
         for i in 0..40 {
-            let (x, y, p) = obs(i);
-            let lo = LabeledObservation::new(x.clone(), y, p);
+            let (x, y) = obs(i);
+            let lo = LabeledObservation::new(x.clone(), y, 0);
             legacy_a.push(lo.clone());
             legacy_b.push(lo);
-            frames.push(&x, y, p);
+            frames.push(&x, y);
             if i == 17 {
                 frames.clear_buffer();
                 legacy_b.clear();
@@ -395,7 +369,6 @@ mod tests {
             for (j, o) in legacy_a.iter().enumerate() {
                 assert_eq!(a.features(j), o.features(), "step {i} A row {j}");
                 assert_eq!(a.label(j), o.label());
-                assert_eq!(a.prediction(j), o.prediction);
             }
 
             let s = frames.stale_view();
@@ -413,7 +386,7 @@ mod tests {
     #[test]
     fn zero_delay_graduates_immediately() {
         let mut frames = FrameWindows::new(4, 0, 1);
-        frames.push(&[1.0], 0, 0);
+        frames.push(&[1.0], 0);
         assert_eq!(frames.stale_len(), 1);
         assert_eq!(frames.holding_len(), 0);
         assert_eq!(frames.stale_view().features(0), &[1.0]);
@@ -423,8 +396,8 @@ mod tests {
     fn frame_block_snapshots_a_view() {
         let mut frames = FrameWindows::new(3, 2, 2);
         for i in 0..7 {
-            let (x, y, p) = obs(i);
-            frames.push(&x, y, p);
+            let (x, y) = obs(i);
+            frames.push(&x, y);
         }
         let mut block = FrameBlock::new();
         block.copy_from(&frames.a_view());
@@ -433,7 +406,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(block.features(i), frames.a_view().features(i));
             assert_eq!(block.label(i), frames.a_view().label(i));
-            assert_eq!(block.prediction(i), frames.a_view().prediction(i));
         }
         // Reuse keeps capacity.
         let cap = block.features.capacity();
@@ -451,6 +423,5 @@ mod tests {
         assert_eq!(src.dims(), 1);
         assert_eq!(src.features(2), &[2.0]);
         assert_eq!(FrameSource::label(src, 3), 1);
-        assert_eq!(src.prediction(0), 1);
     }
 }

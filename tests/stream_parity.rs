@@ -1,8 +1,8 @@
 //! Golden end-to-end parity for the streaming hot path.
 //!
 //! The SoA frame store, cached similarity norms, epoch-gated weights and
-//! the parallel recurrence scan are all required to be *bit-identical* to
-//! the original per-observation path. This test pins the full trajectory
+//! the shared static scan are all required to be *bit-identical* to the
+//! original per-observation path. This test pins the full trajectory
 //! of deterministic runs — every `StepOutcome`, every drift point, every
 //! recorded event count — against a golden file blessed from the
 //! pre-refactor implementation.
@@ -77,7 +77,6 @@ fn run_scenario(
     seed: u64,
     steps: usize,
     config: FicsumConfig,
-    threads: usize,
 ) -> Trajectory {
     let keep = shared(InMemoryRecorder::new());
     let mut stream = ficsum::synth::dataset_by_name(dataset, seed)
@@ -85,7 +84,6 @@ fn run_scenario(
     let mut system = FicsumBuilder::new(stream.dims(), stream.n_classes())
         .config(config)
         .recorder(Box::new(keep.clone()))
-        .parallelism(threads)
         .build()
         .unwrap();
     let mut digest = Digest::new();
@@ -121,12 +119,12 @@ fn quick_config() -> FicsumConfig {
     FicsumConfig::default().with_window_size(50).with_fingerprint_gap(5).with_repository_gap(50)
 }
 
-fn scenarios(threads: usize) -> String {
+fn scenarios() -> String {
     [
-        run_scenario("stagger_default", "STAGGER", 5, 12_000, FicsumConfig::default(), threads),
-        run_scenario("stagger_quick", "STAGGER", 9, 9_000, quick_config(), threads),
-        run_scenario("rtree_default", "RTREE", 3, 9_000, FicsumConfig::default(), threads),
-        run_scenario("hplane_quick", "HPLANE-U", 7, 9_000, quick_config(), threads),
+        run_scenario("stagger_default", "STAGGER", 5, 12_000, FicsumConfig::default()),
+        run_scenario("stagger_quick", "STAGGER", 9, 9_000, quick_config()),
+        run_scenario("rtree_default", "RTREE", 3, 9_000, FicsumConfig::default()),
+        run_scenario("hplane_quick", "HPLANE-U", 7, 9_000, quick_config()),
     ]
     .iter()
     .map(Trajectory::render)
@@ -140,7 +138,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn trajectories_match_golden_bit_exactly() {
-    let rendered = scenarios(1);
+    let rendered = scenarios();
     let path = golden_path();
     if std::env::var_os("FICSUM_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -154,14 +152,4 @@ fn trajectories_match_golden_bit_exactly() {
         golden, rendered,
         "stream trajectories diverged from the blessed pre-refactor path"
     );
-}
-
-#[test]
-fn parallel_scan_is_bit_identical_to_sequential() {
-    // The drift-time repository scan fans out across worker threads; its
-    // merge is required to be deterministic, so the whole trajectory must
-    // be invariant to the thread count.
-    let sequential = scenarios(1);
-    let parallel = scenarios(4);
-    assert_eq!(sequential, parallel, "thread count must not change any trajectory");
 }
